@@ -15,11 +15,11 @@ just another circuit.
 assembled :class:`~repro.vp.platform.SmartSystemPlatform` — a saboteur
 interposed on the APB bus in front of the ADC bridge or the UART, a bit flip
 injected into RAM or a CPU register at a scheduled instant, an instruction
-word corrupted under the running firmware.  Injections into CPU-visible state
-go through :meth:`~repro.vp.platform.SmartSystemPlatform.schedule_injection`,
-which synchronises the block-stepped ISS around the injection time, so
-per-tick and block-stepped executions of a faulted platform stay
-bit-identical.
+word corrupted under the running firmware.  Every activation, saboteurs
+included, goes through
+:meth:`~repro.vp.platform.SmartSystemPlatform.schedule_injection`, which
+synchronises the block-stepped ISS around the injection time, so per-tick
+and block-stepped executions of a faulted platform stay bit-identical.
 
 Every fault has a deterministic ``name`` (derived from its parameters, usable
 as a dictionary key and a report label) and a ``kind`` (the row label of
@@ -226,35 +226,25 @@ class GainDegradationFault(AnalogFault):
 # Bus saboteurs (the register-level digital faults)
 # ----------------------------------------------------------------------------------
 class BusSaboteur(ApbPeripheral):
-    """Delegating APB proxy that corrupts selected transactions when active.
+    """Delegating APB proxy that corrupts selected transactions.
 
     Wraps the real peripheral in place on the bus
     (:meth:`~repro.vp.apb.ApbBus.interpose`); every register access is
     forwarded, and subclasses override :meth:`corrupt_read` /
-    :meth:`corrupt_write` to mutate values once ``kernel.now`` has reached the
-    activation time.  Peripheral-window accesses are always executed on their
-    exact clock cycle by the block-stepped ISS, so time-gating on
-    ``kernel.now`` is exact for any ``cpu_block_cycles``.
+    :meth:`corrupt_write` to mutate values.  A saboteur is active from the
+    moment it is interposed: :func:`_interpose_at` does that at the fault's
+    activation time through the platform's injection API, so no
+    instruction block straddles the activation.
     """
 
-    def __init__(self, inner: ApbPeripheral, kernel, at_time: float) -> None:
+    def __init__(self, inner: ApbPeripheral) -> None:
         self.inner = inner
-        self.kernel = kernel
-        self.at_time = at_time
-
-    def active(self) -> bool:
-        return self.kernel.now >= self.at_time - 1e-18
 
     def read_register(self, offset: int) -> int:
-        value = self.inner.read_register(offset)
-        if self.active():
-            value = self.corrupt_read(offset, value) & 0xFFFFFFFF
-        return value
+        return self.corrupt_read(offset, self.inner.read_register(offset)) & 0xFFFFFFFF
 
     def write_register(self, offset: int, value: int) -> None:
-        if self.active():
-            value = self.corrupt_write(offset, value) & 0xFFFFFFFF
-        self.inner.write_register(offset, value)
+        self.inner.write_register(offset, self.corrupt_write(offset, value) & 0xFFFFFFFF)
 
     def corrupt_read(self, offset: int, value: int) -> int:
         return value
@@ -264,8 +254,8 @@ class BusSaboteur(ApbPeripheral):
 
 
 class _AdcStuckSaboteur(BusSaboteur):
-    def __init__(self, inner, kernel, at_time, mask: int, stuck_at: int) -> None:
-        super().__init__(inner, kernel, at_time)
+    def __init__(self, inner, mask: int, stuck_at: int) -> None:
+        super().__init__(inner)
         self.mask = mask
         self.stuck_at = stuck_at
 
@@ -276,8 +266,8 @@ class _AdcStuckSaboteur(BusSaboteur):
 
 
 class _AdcFlipSaboteur(BusSaboteur):
-    def __init__(self, inner, kernel, at_time, mask: int) -> None:
-        super().__init__(inner, kernel, at_time)
+    def __init__(self, inner, mask: int) -> None:
+        super().__init__(inner)
         self.mask = mask
         self.fired = False
 
@@ -289,14 +279,27 @@ class _AdcFlipSaboteur(BusSaboteur):
 
 
 class _UartSaboteur(BusSaboteur):
-    def __init__(self, inner, kernel, at_time, mask: int) -> None:
-        super().__init__(inner, kernel, at_time)
+    def __init__(self, inner, mask: int) -> None:
+        super().__init__(inner)
         self.mask = mask
 
     def corrupt_write(self, offset: int, value: int) -> int:
         if offset == UART_TX_DATA:
             return value ^ self.mask
         return value
+
+
+def _interpose_at(platform: SmartSystemPlatform, at_time: float, name: str, wrapper) -> None:
+    """Interpose ``wrapper`` on bus peripheral ``name`` from ``at_time`` on.
+
+    An activation that is already due (such as ``at_time=0`` before the
+    run) interposes at once, so the saboteur is in place before the next
+    bus access; a later one is a scheduled injection.
+    """
+    if at_time <= platform.kernel.now:
+        platform.bus.interpose(name, wrapper)
+    else:
+        platform.schedule_injection(at_time, lambda: platform.bus.interpose(name, wrapper))
 
 
 # ----------------------------------------------------------------------------------
@@ -330,11 +333,11 @@ class AdcStuckBitFault(DigitalFault):
         return f"adc-stuck{self.stuck_at}:bit{self.bit}"
 
     def arm(self, platform, at_time, rng) -> None:
-        platform.bus.interpose(
+        _interpose_at(
+            platform,
+            at_time,
             "adc0",
-            lambda adc: _AdcStuckSaboteur(
-                adc, platform.kernel, at_time, 1 << self.bit, self.stuck_at
-            ),
+            lambda adc: _AdcStuckSaboteur(adc, 1 << self.bit, self.stuck_at),
         )
 
 
@@ -355,9 +358,8 @@ class AdcBitFlipFault(DigitalFault):
         return f"adc-flip:bit{self.bit}"
 
     def arm(self, platform, at_time, rng) -> None:
-        platform.bus.interpose(
-            "adc0",
-            lambda adc: _AdcFlipSaboteur(adc, platform.kernel, at_time, 1 << self.bit),
+        _interpose_at(
+            platform, at_time, "adc0", lambda adc: _AdcFlipSaboteur(adc, 1 << self.bit)
         )
 
 
@@ -379,9 +381,8 @@ class UartCorruptionFault(DigitalFault):
         return f"uart-xor:{self.mask:#04x}"
 
     def arm(self, platform, at_time, rng) -> None:
-        platform.bus.interpose(
-            "uart0",
-            lambda uart: _UartSaboteur(uart, platform.kernel, at_time, self.mask),
+        _interpose_at(
+            platform, at_time, "uart0", lambda uart: _UartSaboteur(uart, self.mask)
         )
 
 

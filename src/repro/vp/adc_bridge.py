@@ -10,6 +10,8 @@ here, and the firmware reads it as a signed millivolt value over the APB bus.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .apb import ApbPeripheral
 
 #: Register offsets.
@@ -40,6 +42,9 @@ class AdcBridge(ApbPeripheral):
         #: Every pushed sample in arrival order when ``record`` is set (the
         #: platform sweep layer uses this to compare analog styles), else None.
         self.history: list[float] | None = [] if record else None
+        #: Called before every register access; a pull-coupled analog model
+        #: uses it to publish the samples due by the access (None: no hook).
+        self.before_access: Callable[[], None] | None = None
 
     # -- analog side -----------------------------------------------------------------------
     def push_sample(self, value: float) -> None:
@@ -50,6 +55,17 @@ class AdcBridge(ApbPeripheral):
         if self.history is not None:
             self.history.append(self._raw_value)
 
+    def push_samples(self, values: list) -> None:
+        """Publish consecutive samples in arrival order (``push_sample`` each)."""
+        if not values:
+            return
+        values = list(map(float, values))
+        self._raw_value = values[-1]
+        self._valid = True
+        self.sample_count += len(values)
+        if self.history is not None:
+            self.history.extend(values)
+
     @property
     def last_sample(self) -> float:
         """The most recent analog value, in volts."""
@@ -57,6 +73,8 @@ class AdcBridge(ApbPeripheral):
 
     # -- register interface -----------------------------------------------------------------
     def read_register(self, offset: int) -> int:
+        if self.before_access is not None:
+            self.before_access()
         if offset == DATA:
             self.read_count += 1
             millivolts = int(round(self._raw_value * 1000.0 / self.millivolts_per_unit))
@@ -70,5 +88,7 @@ class AdcBridge(ApbPeripheral):
         return 0
 
     def write_register(self, offset: int, value: int) -> None:
+        if self.before_access is not None:
+            self.before_access()
         if offset == SCALE:
             self.millivolts_per_unit = max(value, 1) / 1000.0

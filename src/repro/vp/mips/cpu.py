@@ -14,11 +14,19 @@ kind, register indices, sign-extended immediates and absolute branch targets
 resolved at decode time) cached per word address.  :meth:`MipsCpu.run_block`
 then executes decoded instructions in a tight local loop — registers, memory
 and the decode cache bound to locals, taken branches followed in place —
-yielding back only when it reaches a peripheral-window load/store that is not
-the first instruction of the block, the halt flag, or the cycle budget.
-Peripheral accesses are therefore always the *first* instruction of a block,
-which is what lets the platform's block driver schedule them on exactly the
-same clock cycle as the classic one-instruction-per-tick interpreter.
+until the halt flag or the cycle budget stops it.  How a peripheral-window
+load/store is handled depends on :attr:`MipsCpu.inline_peripherals`:
+
+* off (the default, and the platform's event-driven analog styles): the
+  block yields back before any peripheral access that is not its first
+  instruction, so every access is the *first* instruction of a block and the
+  platform's block driver runs it on its own kernel event, on exactly the
+  clock cycle of the classic one-instruction-per-tick interpreter;
+* on (the platform's pull-coupled ``python`` style, where no other
+  discrete-event process can observe the bus): the access is served in place,
+  and :attr:`MipsCpu.block_offset` tells the bus callback how many
+  instructions of the block precede it, from which the caller derives the
+  access's own cycle time.
 
 The decode cache is invalidated by the CPU's own stores (inline, in the hot
 loop) and by a :meth:`~repro.vp.memory.Memory.add_write_watcher` hook for
@@ -236,6 +244,13 @@ class MipsCpu:
         self.decode_miss_count = 0
         self.decode_invalidation_count = 0
         self.halted = False
+        #: Serve peripheral-window accesses inside a block instead of
+        #: yielding before them (see the module docstring).  Only a caller
+        #: that times each access through :attr:`block_offset` may set it.
+        self.inline_peripherals = False
+        #: Instructions of the running block retired before the peripheral
+        #: access in progress; read it from inside a bus callback.
+        self.block_offset = 0
         #: Lazily filled decode cache, one slot per RAM word.
         self._decoded: list[tuple | None] = [None] * (memory.size // 4)
         # Superblock tier (see vp/mips/superblock.py): hot block-entry pcs
@@ -419,10 +434,15 @@ class MipsCpu:
         branches, and yields back early only at:
 
         * a peripheral-window load/store that is **not** the first
-          instruction of the block (left unexecuted, so the caller can
-          reschedule it on its exact clock cycle);
-        * the ``halted`` flag;
+          instruction of the block, unless :attr:`inline_peripherals` is set
+          (left unexecuted, so the caller can reschedule it on its exact
+          clock cycle);
+        * the ``halted`` flag, checked after every peripheral access (a bus
+          callback is the only thing that can halt the CPU mid-block);
         * the instruction budget.
+
+        Bus callbacks may read :attr:`block_offset`; registers and counters
+        are only flushed back when the block ends.
 
         Returns the number of instructions actually executed.  Architectural
         state (``pc``, counters) is flushed back even when an instruction
@@ -451,6 +471,7 @@ class MipsCpu:
         mbase = mem.base
         msize = mem.size
         periph = self.peripheral_base
+        inline = self.inline_peripherals
         # The word fast path must never swallow a peripheral access, so its
         # window ends at the peripheral base even if (in exotic configs) the
         # RAM range overlaps the peripheral window — bus precedence matches
@@ -543,14 +564,17 @@ class MipsCpu:
                         mem_reads += 1
                         reg[a] = words[offset >> 2]
                     elif address >= periph:
-                        if executed:
+                        if executed and not inline:
                             break
                         loads += 1
                         if self.bus_read is None:
                             raise CpuFault(
                                 f"load from unmapped peripheral address {address:#x}"
                             )
+                        self.block_offset = executed
                         reg[a] = self.bus_read(address) & M
+                        if self.halted:
+                            max_instructions = executed + 1
                     else:
                         loads += 1
                         if offset < 0 or offset + 4 > msize:
@@ -580,14 +604,17 @@ class MipsCpu:
                         if sb_cover[index] is not None:
                             self._drop_superblocks_at(index)
                     elif address >= periph:
-                        if executed:
+                        if executed and not inline:
                             break
                         stores += 1
                         if self.bus_write is None:
                             raise CpuFault(
                                 f"store to unmapped peripheral address {address:#x}"
                             )
+                        self.block_offset = executed
                         self.bus_write(address, reg[a])
+                        if self.halted:
+                            max_instructions = executed + 1
                     else:
                         stores += 1
                         if offset < 0 or offset + 4 > msize:
@@ -682,14 +709,17 @@ class MipsCpu:
                 elif k == K_LB or k == K_LBU:
                     address = (reg[b] + c) & M
                     if address >= periph:
-                        if executed:
+                        if executed and not inline:
                             break
                         loads += 1
                         if self.bus_read is None:
                             raise CpuFault(
                                 f"load from unmapped peripheral address {address:#x}"
                             )
+                        self.block_offset = executed
                         value = (self.bus_read(address & ~0x3) >> (8 * (address & 0x3))) & 0xFF
+                        if self.halted:
+                            max_instructions = executed + 1
                     else:
                         loads += 1
                         offset = address - mbase
@@ -704,14 +734,17 @@ class MipsCpu:
                 elif k == K_SB:
                     address = (reg[b] + c) & M
                     if address >= periph:
-                        if executed:
+                        if executed and not inline:
                             break
                         stores += 1
                         if self.bus_write is None:
                             raise CpuFault(
                                 f"store to unmapped peripheral address {address:#x}"
                             )
+                        self.block_offset = executed
                         self.bus_write(address, reg[a] & 0xFF)
+                        if self.halted:
+                            max_instructions = executed + 1
                     else:
                         stores += 1
                         offset = address - mbase
@@ -787,12 +820,6 @@ class MipsCpu:
                     pc += 4
 
                 executed += 1
-                # Peripheral accesses only execute as a block's first
-                # instruction, so a bus callback that halts the CPU (a
-                # power/halt control register) can only have fired here —
-                # one cheap comparison keeps mid-block halts per-tick exact.
-                if executed == 1 and self.halted:
-                    break
         finally:
             self.pc = pc
             self.instruction_count += executed

@@ -22,10 +22,12 @@ bytes against per-tick stepping):
   callback can observe the CPU, so mid-superblock faults leave exactly the
   per-tick architectural state (the generated ``try/finally`` flushes
   registers, pc and counters on every exit, including raises);
-* peripheral-window accesses keep the block contract: they only execute as
-  the first instruction of a block (``executed == 0``), otherwise the
-  superblock returns with the access unexecuted so the platform driver can
-  reschedule it on its exact clock cycle;
+* peripheral-window accesses keep the block contract of
+  :meth:`~repro.vp.mips.cpu.MipsCpu.run_block`: unless the CPU's
+  ``inline_peripherals`` is set, they only execute as the first instruction
+  of a block (``executed == 0``), otherwise the superblock returns with the
+  access unexecuted so the platform driver can reschedule it on its exact
+  clock cycle; a served access publishes ``cpu.block_offset`` first;
 * stores invalidate both the decode cache (inline, same as the interpreter)
   and any superblock whose span covers the written word; a store into the
   *running* superblock's own span additionally bails out after the store so
@@ -246,9 +248,7 @@ def _generate(cpu, entry_pc, run) -> str:
     Cold paths (peripheral-window accesses, misaligned/out-of-window word
     accesses) return to the ordinary dispatch loop after executing at most
     one instruction, so the hot straight line never materializes counters
-    mid-block and only the entry instruction ever needs the full
-    peripheral-access protocol (any later instruction statically implies
-    ``executed > 0``, which per the block contract yields the access).
+    mid-block.
     """
     mem = cpu.memory
     mbase = mem.base
@@ -316,29 +316,22 @@ def _generate(cpu, entry_pc, run) -> str:
             f"offset < 0 or offset + 4 > {msize}",
         )
 
-    def peripheral_yield(indent, pc):
-        """Yield the block with the peripheral access unexecuted."""
+    def peripheral(indent, pc, next_pc, counter, lines):
+        """The peripheral-access protocol: serve the access or yield before it.
+
+        Counters and pc are materialized first, so they are exact for the bus
+        callback (``cpu.block_offset``), for a raise and for a yield.  Unless
+        ``cpu.inline_peripherals`` is set, an access that is not the block's
+        first instruction yields the block with the access unexecuted.  After
+        a served access the superblock bails to the dispatch loop so the
+        straight line stays free of counter state.
+        """
         out.materialize(indent)
         out.emit(indent, f"pc = {pc}")
-        out.emit(indent, "return True")
-
-    def peripheral_entry(indent, next_pc, counter, lines):
-        """Full peripheral protocol for the entry instruction.
-
-        ``executed``/pc are architecturally exact here without any flush: no
-        instruction has completed yet (in a fused loop, ``it`` completed
-        iterations are flushed on the yield path) and the header set ``pc``
-        to the entry.  After a successful bus call the block bails to the
-        dispatch loop so the straight line stays free of counter state.
-        """
-        if fused:
-            out.emit(indent, "if executed or it:")
-            out.materialize(indent + 1)
-            out.emit(indent + 1, "return True")
-        else:
-            out.emit(indent, "if executed:")
-            out.emit(indent + 1, "return True")
+        out.emit(indent, "if executed and not cpu.inline_peripherals:")
+        out.emit(indent + 1, "return True")
         out.emit(indent, f"{counter} += 1")
+        out.emit(indent, "cpu.block_offset = executed")
         for line in lines:
             out.emit(indent, line)
         out.emit(indent, "executed += 1")
@@ -524,20 +517,18 @@ def _generate(cpu, entry_pc, run) -> str:
             if survivor is not None:
                 survivor[1] = f"r{a}"
             out.emit(body, f"elif {addr} >= {periph}:")
-            if out.pending["executed"]:
-                peripheral_yield(body + 1, pc)
-            else:
-                peripheral_entry(
-                    body + 1,
-                    next_pc,
-                    "loads",
-                    [
-                        "if cpu.bus_read is None:",
-                        "    raise CpuFault("
-                        f"'load from unmapped peripheral address %#x' % {addr})",
-                        f"{out.write(a)} = cpu.bus_read({addr}) & {_M}",
-                    ],
-                )
+            peripheral(
+                body + 1,
+                pc,
+                next_pc,
+                "loads",
+                [
+                    "if cpu.bus_read is None:",
+                    "    raise CpuFault("
+                    f"'load from unmapped peripheral address %#x' % {addr})",
+                    f"{out.write(a)} = cpu.bus_read({addr}) & {_M}",
+                ],
+            )
             out.emit(body, "else:")
             out.materialize(body + 1, loads=1)
             out.emit(body + 1, f"pc = {pc}")
@@ -555,21 +546,18 @@ def _generate(cpu, entry_pc, run) -> str:
         elif kind == _LB or kind == _LBU:
             addr, abound = address_of(b, c)
             out.emit(body, f"if {addr} >= {periph}:")
-            if out.pending["executed"]:
-                peripheral_yield(body + 1, pc)
-            else:
-                lines = [
-                    "if cpu.bus_read is None:",
-                    "    raise CpuFault("
-                    f"'load from unmapped peripheral address %#x' % {addr})",
-                    f"value = (cpu.bus_read({addr} & 4294967292)"
-                    f" >> (8 * ({addr} & 0x3))) & 0xFF",
-                ]
-                if kind == _LB:
-                    lines.append("if value & 0x80:")
-                    lines.append(f"    value = (value - 0x100) & {_M}")
-                lines.append(f"{out.write(a)} = value")
-                peripheral_entry(body + 1, next_pc, "loads", lines)
+            lines = [
+                "if cpu.bus_read is None:",
+                "    raise CpuFault("
+                f"'load from unmapped peripheral address %#x' % {addr})",
+                f"value = (cpu.bus_read({addr} & 4294967292)"
+                f" >> (8 * ({addr} & 0x3))) & 0xFF",
+            ]
+            if kind == _LB:
+                lines.append("if value & 0x80:")
+                lines.append(f"    value = (value - 0x100) & {_M}")
+            lines.append(f"{out.write(a)} = value")
+            peripheral(body + 1, pc, next_pc, "loads", lines)
             out.emit(body, "else:")
             if mbase == 0:
                 off = addr
@@ -629,20 +617,18 @@ def _generate(cpu, entry_pc, run) -> str:
             out.emit(body + 2, "return False  # stale self: back to dispatch")
             out.verified[(b, c)] = [index_name, value]
             out.emit(body, f"elif {addr} >= {periph}:")
-            if out.pending["executed"]:
-                peripheral_yield(body + 1, pc)
-            else:
-                peripheral_entry(
-                    body + 1,
-                    next_pc,
-                    "stores",
-                    [
-                        "if cpu.bus_write is None:",
-                        "    raise CpuFault("
-                        f"'store to unmapped peripheral address %#x' % {addr})",
-                        f"cpu.bus_write({addr}, {value})",
-                    ],
-                )
+            peripheral(
+                body + 1,
+                pc,
+                next_pc,
+                "stores",
+                [
+                    "if cpu.bus_write is None:",
+                    "    raise CpuFault("
+                    f"'store to unmapped peripheral address %#x' % {addr})",
+                    f"cpu.bus_write({addr}, {value})",
+                ],
+            )
             out.emit(body, "else:")
             out.materialize(body + 1, stores=1)
             out.emit(body + 1, f"pc = {pc}")
@@ -675,20 +661,18 @@ def _generate(cpu, entry_pc, run) -> str:
             out.clobber_memory()
             addr, abound = address_of(b, c)
             out.emit(body, f"if {addr} >= {periph}:")
-            if out.pending["executed"]:
-                peripheral_yield(body + 1, pc)
-            else:
-                peripheral_entry(
-                    body + 1,
-                    next_pc,
-                    "stores",
-                    [
-                        "if cpu.bus_write is None:",
-                        "    raise CpuFault("
-                        f"'store to unmapped peripheral address %#x' % {addr})",
-                        f"cpu.bus_write({addr}, {value}{vmask})",
-                    ],
-                )
+            peripheral(
+                body + 1,
+                pc,
+                next_pc,
+                "stores",
+                [
+                    "if cpu.bus_write is None:",
+                    "    raise CpuFault("
+                    f"'store to unmapped peripheral address %#x' % {addr})",
+                    f"cpu.bus_write({addr}, {value}{vmask})",
+                ],
+            )
             out.emit(body, "else:")
             if mbase == 0:
                 off = addr

@@ -6,7 +6,8 @@ of the discrete-event kernel, and offers one ``attach_analog_*`` method per
 analog integration style evaluated in Table III:
 
 * ``attach_analog_python`` — the generated C++/Python model called directly
-  (the paper's pure-C++ integration);
+  (the paper's pure-C++ integration), stepped on demand when the firmware
+  reads the ADC rather than by a kernel process;
 * ``attach_analog_de`` — the generated model wrapped as a SystemC-DE module;
 * ``attach_analog_tdf`` — the generated model inside a TDF cluster bridged to
   the DE kernel;
@@ -18,8 +19,10 @@ analog integration style evaluated in Table III:
 from __future__ import annotations
 
 import dataclasses
-from bisect import insort
+import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 from ..core.codegen.python_backend import compile_model_cached
@@ -30,6 +33,7 @@ from ..obs.tracer import TRACER
 from ..sim.ams import ReferenceAmsSimulator
 from ..sim.cosim import AnalogCosimServer, CoSimulationBridge
 from ..sim.de import Kernel, Module, PeriodicTicker, Signal
+from ..sim.de.simtime import RESOLUTION, quantize
 from ..sim.eln import ElnModel
 from ..sim.integration import (
     DeSignalFlowModule,
@@ -132,16 +136,26 @@ class _CpuBlockDriver(Module):
     Timing equivalence with the one-instruction-per-tick model is preserved
     because
 
-    * :meth:`~repro.vp.mips.cpu.MipsCpu.run_block` yields back *before* any
-      peripheral-window load/store that is not the first instruction of a
-      block, so every UART/APB/ADC access executes as the first instruction
-      of an event scheduled on precisely its own clock cycle;
+    * every peripheral access happens at its own clock cycle: under the
+      event-driven analog styles :meth:`~repro.vp.mips.cpu.MipsCpu.run_block`
+      yields back *before* any peripheral-window load/store that is not the
+      first instruction of a block, so the access executes as the first
+      instruction of an event scheduled on precisely its cycle; under the
+      pull-coupled ``python`` style no other process observes the bus, the
+      CPU serves accesses in place and :meth:`access_time` gives each one its
+      cycle from the CPU's in-block offset;
     * instructions between peripheral accesses touch only CPU-private state
       (registers and RAM), so executing them early within one kernel event
-      is unobservable;
+      is unobservable — external code that mutates CPU or peripheral state
+      mid-run must go through
+      :meth:`SmartSystemPlatform.schedule_injection`, which makes its
+      instant a sync point no block crosses;
     * the block budget is clamped to the kernel's ``end_time`` horizon so a
       bounded ``run(duration)`` retires exactly as many instructions as the
-      per-tick model would.
+      per-tick model would;
+    * an instruction that faults mid-block re-raises from an event at its
+      own cycle, so everything due before it (analog ticks, pulled samples)
+      happens first and the crash lands at the per-tick simulated time.
 
     ``block_cycles=1`` degenerates to the historical per-tick behaviour.
     """
@@ -166,11 +180,23 @@ class _CpuBlockDriver(Module):
         #: ``origin + c * period``, mirroring PeriodicTicker's drift-free grid).
         self.cycle = 0
         self._grid_origin = kernel.now + period
+        #: The cycle the running instruction block's budget ends before, or
+        #: None outside a block (bus callbacks inside one happen ahead of
+        #: ``kernel.now``, at :meth:`access_time`).
+        self.block_end: int | None = None
         #: Absolute times no instruction block may execute across (sorted).
         #: Injection events use these so a burst never runs an instruction
         #: whose clock cycle lies at or past a pending mutation.
         self._sync_times: list[float] = []
         kernel.schedule(period, self._wake)
+
+    def cycle_time(self, cycle: int) -> float:
+        """The kernel time of clock cycle ``cycle`` (quantised like its event)."""
+        return quantize(self._grid_origin + cycle * self.period)
+
+    def access_time(self) -> float:
+        """The clock time of the instruction accessing the bus right now."""
+        return self.cycle_time(self.cycle + self.cpu.block_offset)
 
     def add_sync_point(self, time: float) -> None:
         """Forbid instruction blocks from crossing the absolute time ``time``.
@@ -212,13 +238,132 @@ class _CpuBlockDriver(Module):
                 fit = 1
             if fit < budget:
                 budget = fit
-        executed = self.cpu.run_block(budget)
+        cpu = self.cpu
+        retired_before = cpu.instruction_count
+        self.block_end = self.cycle + budget
+        try:
+            executed = cpu.run_block(budget)
+        except Exception as error:
+            retired = cpu.instruction_count - retired_before
+            if retired < 1:
+                raise
+            # The faulting instruction's cycle lies `retired` cycles into
+            # the block: raise from there, after everything due before it.
+            self.cycle += retired
+            kernel.schedule_abs(self.cycle_time(self.cycle), partial(_raise, error))
+            return
+        finally:
+            self.block_end = None
         if executed < 1:
             # Halted CPU: let the idle cycles pass in bulk (the per-tick
             # ticker would fire on each of them and do nothing).
             executed = budget
         self.cycle += executed
         kernel.schedule_abs(self._grid_origin + self.cycle * self.period, self._wake)
+
+
+def _raise(error: BaseException) -> None:
+    raise error
+
+
+class _PulledAnalog:
+    """The generated analog model, stepped on demand instead of by a ticker.
+
+    Sample ``k`` belongs to the instant ``quantize(origin + k * timestep)``,
+    exactly where a :class:`PeriodicTicker` started at attach time would
+    fire it, and is computed from the stimuli at that instant with one
+    ``step`` call.  :meth:`publish` hands the ADC bridge every sample due by
+    a given instant, in order, so the samples, counts and recorded trace the
+    platform observes are those of the ticked model.
+
+    Samples are computed ahead, through the last cycle of the running
+    instruction block, and buffered until they are due.  Running ahead is
+    unobservable: the model's only inputs are the stimuli, nothing feeds
+    back into it, and no injection or run horizon lies inside a block.
+    """
+
+    def __init__(
+        self,
+        instance,
+        stimuli: Stimuli,
+        adc: AdcBridge,
+        clock: _CpuBlockDriver,
+        timestep: float,
+    ) -> None:
+        self.instance = instance
+        self.waveforms = [stimuli[name] for name in instance.INPUTS]
+        self.single_output = len(instance.OUTPUTS) == 1
+        self.adc = adc
+        self.clock = clock
+        self.origin = clock.kernel.now + timestep
+        self.timestep = timestep
+        #: Whether a sample and a CPU cycle at the same instant order sample
+        #: first.  The kernel breaks such ties by scheduling order: the
+        #: ticker scheduled its tick one timestep back, the CPU its cycle one
+        #: period back, so the sample wins exactly when the timestep is the
+        #: longer of the two (equal grids leave the CPU, created first, ahead).
+        self.sample_wins_ties = timestep > clock.period
+        #: Samples computed so far, and the instant of the next one.
+        self.count = 0
+        self.next_time = quantize(self.origin)
+        #: Computed samples not yet published: their instants and values.
+        self._times: list[float] = []
+        self._values: list[float] = []
+
+    def sync(self) -> None:
+        """Publish what a bus access observes now (the ADC access hook).
+
+        Inside an instruction block the access runs ahead of the kernel, at
+        its own clock cycle, and the model may run ahead to the block's last
+        cycle; outside one (a host-side access, a snapshot) it happens at
+        ``kernel.now``.
+        """
+        clock = self.clock
+        if clock.block_end is not None:
+            instant = clock.access_time()
+            if self.next_time <= instant:
+                self.compute(clock.cycle_time(clock.block_end - 1))
+        else:
+            instant = clock.kernel.now
+            self.compute(instant)
+        self.publish(instant, self.sample_wins_ties)
+
+    def publish(self, until: float, inclusive: bool) -> None:
+        """Publish every computed sample due before ``until`` (and at it, if
+        ``inclusive``)."""
+        limit = until if inclusive else math.nextafter(until, -math.inf)
+        times = self._times
+        due = bisect_right(times, limit)
+        if due:
+            values = self._values
+            self.adc.push_samples(values[:due])
+            del times[:due]
+            del values[:due]
+
+    def compute(self, through: float) -> None:
+        """Step the model through every sample due at or before ``through``."""
+        time = self.next_time
+        if time > through:
+            return
+        origin = self.origin
+        timestep = self.timestep
+        count = self.count
+        times = []
+        while time <= through:
+            times.append(time)
+            count += 1
+            time = round((origin + count * timestep) / RESOLUTION) * RESOLUTION  # quantize()
+        # One step call per sample, fed straight from lazy per-input maps
+        # (each sample evaluates the stimuli in input order, then steps).
+        values = list(
+            map(self.instance.step, *[map(wave, times) for wave in self.waveforms], times)
+        )
+        if not self.single_output:
+            values = [value[0] for value in values]
+        self.count = count
+        self.next_time = time
+        self._times.extend(times)
+        self._values.extend(values)
 
 
 class _AdcSampler(Module):
@@ -306,6 +451,8 @@ class SmartSystemPlatform:
 
         self.analog_style: str | None = None
         self._analog_modules: list[object] = []
+        #: The pull-coupled model of the ``python`` style (None otherwise).
+        self._pulled: _PulledAnalog | None = None
 
     # -- analog attachment --------------------------------------------------------------------
     def _ensure_unattached(self) -> None:
@@ -350,19 +497,21 @@ class SmartSystemPlatform:
         )
 
     def attach_analog_python(self, model: "SignalFlowModel | type | object", stimuli: Stimuli) -> None:
-        """Integrate the generated model as plain code called every timestep."""
+        """Integrate the generated model as plain code, stepped on demand.
+
+        No kernel process drives the model.  Before every ADC register
+        access it is stepped once per analog timestep up to the accessing
+        instruction's clock cycle; :meth:`run` and :meth:`snapshot` step the
+        rest.  With no other discrete-event process left, the CPU serves
+        peripheral accesses inside its instruction blocks.  Samples, counts
+        and traces are those of a model ticked every timestep.
+        """
         self._ensure_unattached()
-        instance = _instantiate(model)
-        input_names = list(instance.INPUTS)
-        waveforms = [stimuli[name] for name in input_names]
-        single_output = len(instance.OUTPUTS) == 1
-
-        def tick(now: float) -> None:
-            result = instance.step(*[w(now) for w in waveforms], now)
-            self.adc.push_sample(result if single_output else result[0])
-
-        ticker = PeriodicTicker(self.kernel, "analog.cpp", self.analog_timestep, tick)
-        self._analog_modules.append(ticker)
+        self._pulled = _PulledAnalog(
+            _instantiate(model), stimuli, self.adc, self._cpu_driver, self.analog_timestep
+        )
+        self.adc.before_access = self._pulled.sync
+        self.cpu.inline_peripherals = True
         self.analog_style = "python"
 
     def attach_analog_de(self, model: "SignalFlowModel | type | object", stimuli: Stimuli) -> None:
@@ -476,8 +625,12 @@ class SmartSystemPlatform:
 
         :meth:`run` returns this after a completed simulation; crash handlers
         (the sweep layer's ``capture_errors`` path) call it directly to record
-        how far a faulted platform got before the error.
+        how far a faulted platform got before the error.  A pull-coupled
+        model first publishes the samples an instruction at ``kernel.now``
+        would observe.
         """
+        if self._pulled is not None:
+            self._pulled.sync()
         counter_value = self.memory.read_word(0x0000_F000)
         return PlatformRunResult(
             simulated_time=self.kernel.now,
@@ -499,7 +652,7 @@ class SmartSystemPlatform:
             )
         tracer = TRACER
         if not tracer.enabled:
-            self.kernel.run(duration)
+            self._run_kernel(duration)
             return self.snapshot()
         start = tracer.now()
         cpu = self.cpu
@@ -507,7 +660,7 @@ class SmartSystemPlatform:
         compiles_before = cpu.superblock_compile_count
         hits_before = cpu.superblock_hit_count
         invalidations_before = cpu.superblock_invalidation_count
-        self.kernel.run(duration)
+        self._run_kernel(duration)
         result = self.snapshot()
         compiles = cpu.superblock_compile_count - compiles_before
         hits = cpu.superblock_hit_count - hits_before
@@ -529,6 +682,14 @@ class SmartSystemPlatform:
         tracer.add("iss.superblock.hits", float(hits))
         tracer.add("iss.superblock.invalidations", float(invalidations))
         return result
+
+    def _run_kernel(self, duration: float) -> None:
+        self.kernel.run(duration)
+        if self._pulled is not None:
+            # The kernel fires everything due at its horizon, ticks included.
+            now = self.kernel.now
+            self._pulled.compute(now)
+            self._pulled.publish(now, True)
 
 
 def _instantiate(model: "SignalFlowModel | type | object"):

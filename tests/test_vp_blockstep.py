@@ -3,7 +3,10 @@
 The block executor must be a pure speedup: for any chunking of the
 instruction stream it has to produce exactly the architectural trace of the
 one-instruction-at-a-time interpreter, including across self-modifying code,
-firmware reloads and peripheral-window accesses.
+firmware reloads, peripheral-window accesses (yielded or served in place)
+and faults in the middle of a block.  The pull-coupled ``python`` analog
+style is checked against an independent oracle: the generated model ticked
+by a kernel process every timestep, run per tick.
 """
 
 from __future__ import annotations
@@ -337,3 +340,374 @@ class TestPlatformBlockScheduling:
     def test_signed_helpers_still_exported(self):
         # Regression guard: the ISA helpers remain the public signed-view API.
         assert to_signed_32(0xFFFFFFFF) == -1
+
+
+# ---------------------------------------------------------------------------------
+# In-block peripheral accesses (the pull-coupled ``python`` style)
+# ---------------------------------------------------------------------------------
+#: A hot loop with a peripheral load and store at varying block offsets (the
+#: loop is long enough for the superblock tier to compile it).
+BUS_LOOP = """
+        lui   $t0, 0x1000
+        li    $t1, 0
+        li    $t3, 0
+loop:   addiu $t1, $t1, 1
+        lw    $t2, 0($t0)        # peripheral load
+        addu  $t3, $t3, $t2
+        andi  $t4, $t3, 0xFF
+        sw    $t4, 4($t0)        # peripheral store
+        lb    $t5, 9($t0)        # peripheral byte load
+        sb    $t1, 12($t0)       # peripheral byte store
+        bne   $t1, $zero, loop
+"""
+
+
+def bus_trace_cpu(source: str, superblocks: bool, inline: bool):
+    """A CPU whose bus records ``(instruction index, kind, address, value)``.
+
+    The instruction index of an access is the number of instructions retired
+    before it: ``instruction_count`` at the start of the running block plus
+    the CPU's in-block ``block_offset``.
+    """
+    program = assemble(source)
+    memory = Memory(size=64 * 1024)
+    memory.load_image(program.to_bytes())
+    accesses: list[tuple] = []
+    block_start = [0]
+
+    def bus_read(address: int) -> int:
+        index = block_start[0] + cpu.block_offset
+        accesses.append((index, "r", address))
+        return (index * 2654435761) & 0xFFFFFFFF
+
+    def bus_write(address: int, value: int) -> None:
+        accesses.append((block_start[0] + cpu.block_offset, "w", address, value))
+
+    cpu = MipsCpu(memory, bus_read=bus_read, bus_write=bus_write, superblocks=superblocks)
+    cpu.inline_peripherals = inline
+    return cpu, accesses, block_start
+
+
+class TestInlinePeripherals:
+    @pytest.mark.parametrize("superblocks", [False, True])
+    @pytest.mark.parametrize("chunk", [7, 64, 1000])
+    def test_inline_blocks_match_per_tick_access_timing(self, chunk, superblocks):
+        total = 4000
+        reference, expected, reference_start = bus_trace_cpu(
+            BUS_LOOP, superblocks=False, inline=False
+        )
+        for index in range(total):
+            reference_start[0] = index
+            reference.run_block(1)
+        cpu, accesses, block_start = bus_trace_cpu(BUS_LOOP, superblocks, inline=True)
+        blocks = 0
+        while cpu.instruction_count < total:
+            block_start[0] = cpu.instruction_count
+            executed = cpu.run_block(min(chunk, total - cpu.instruction_count))
+            assert executed == min(chunk, total - block_start[0])
+            blocks += 1
+        assert accesses == expected
+        assert architectural_state(cpu) == architectural_state(reference)
+        # Served in place: no block ends early at a peripheral access.
+        assert blocks == -(-total // chunk)
+        if superblocks and chunk == 7:
+            # Short blocks enter the superblock tier often enough to heat it.
+            assert cpu.superblock_hit_count > 0
+
+    @pytest.mark.parametrize("superblocks", [False, True])
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_bus_error_mid_block_leaves_the_per_tick_state(self, chunk, superblocks):
+        from repro.errors import BusError
+
+        def failing_cpu(inline, superblocks):
+            cpu, accesses, start = bus_trace_cpu(BUS_LOOP, superblocks, inline)
+            recording_read = cpu.bus_read
+
+            def bus_read(address: int) -> int:
+                if len(accesses) >= 400:
+                    raise BusError(f"no peripheral mapped at address {address:#010x}")
+                return recording_read(address)
+
+            cpu.bus_read = bus_read
+            return cpu, start
+
+        reference, reference_start = failing_cpu(inline=False, superblocks=False)
+        with pytest.raises(BusError):
+            while True:
+                reference_start[0] = reference.instruction_count
+                reference.run_block(1)
+        cpu, start = failing_cpu(inline=True, superblocks=superblocks)
+        with pytest.raises(BusError):
+            while True:
+                start[0] = cpu.instruction_count
+                cpu.run_block(chunk)
+        assert architectural_state(cpu) == architectural_state(reference)
+
+    @pytest.mark.parametrize("superblocks", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_bus_callback_halting_the_cpu_stops_an_inline_block(self, chunk, superblocks):
+        source = """
+            lui   $t0, 0x1000
+        loop:
+            addiu $s0, $s0, 1
+            sw    $s0, 0($t0)        # the halt register: halts on the 40th write
+            addiu $t2, $t2, 1
+            j     loop
+        """
+        program = assemble(source)
+        memory = Memory(size=64 * 1024)
+        memory.load_image(program.to_bytes())
+        cpu = MipsCpu(
+            memory,
+            bus_write=lambda address, value: setattr(cpu, "halted", value == 40),
+            superblocks=superblocks,
+        )
+        cpu.inline_peripherals = True
+        while cpu.run_block(chunk):
+            pass
+        assert cpu.halted
+        assert cpu.instruction_count == 1 + 4 * 39 + 2
+        assert cpu.read_register(register_number("$t2")) == 39
+        if superblocks and chunk == 7:
+            assert cpu.superblock_hit_count > 0
+
+
+# ---------------------------------------------------------------------------------
+# A fault in the middle of an instruction block
+# ---------------------------------------------------------------------------------
+def _crash_run(style: str, address: int, block: int, superblocks: bool):
+    """RC1 + threshold firmware; the word at ``address`` is corrupted at an
+    off-grid 3.03 us, so the CPU faults somewhere inside a block."""
+    import numpy as np
+
+    from repro.circuits import build_rc_filter
+    from repro.errors import ReproError
+    from repro.fault import InstructionCorruptionFault
+    from repro.sim import SquareWave
+    from repro.vp import threshold_monitor_source
+
+    platform = SmartSystemPlatform(
+        firmware=threshold_monitor_source(),
+        record_analog=True,
+        cpu_block_cycles=block,
+        cpu_superblocks=superblocks,
+    )
+    stimuli = {"vin": SquareWave(period=4e-6)}
+    if style in ("python", "de", "tdf"):
+        platform.attach_analog(style, stimuli, model=_model("RC1", 50e-9))
+    else:
+        platform.attach_analog(style, stimuli, circuit=build_rc_filter(1), output="V(out)")
+    InstructionCorruptionFault(address).arm(platform, 3.03e-6, np.random.default_rng(0))
+    try:
+        result = platform.run(10e-6)
+    except ReproError as error:
+        result = platform.snapshot(crashed=f"{type(error).__name__}: {error}")
+    return result
+
+
+_CRASH_REFERENCES: dict = {}
+
+
+class TestMidBlockFault:
+    """A CPU fault inside a block must crash at its own clock cycle: every
+    analog sample due before the faulting instruction is taken, and the
+    snapshot equals the one-instruction-per-tick run's."""
+
+    @pytest.mark.parametrize("address", [0x34, 0x3C, 0x44])
+    @pytest.mark.parametrize("superblocks", [False, True])
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("style", ["python", "de", "tdf", "eln", "cosim"])
+    def test_crashed_snapshot_matches_per_tick(self, style, block, superblocks, address):
+        key = (style, address)
+        if key not in _CRASH_REFERENCES:
+            _CRASH_REFERENCES[key] = _crash_run(style, address, 1, False)
+        reference = _CRASH_REFERENCES[key]
+        result = _crash_run(style, address, block, superblocks)
+        assert reference.crashed is not None
+        assert result.fingerprint() == reference.fingerprint()
+        assert result.analog_trace == reference.analog_trace
+        assert result.simulated_time == reference.simulated_time
+
+
+# ---------------------------------------------------------------------------------
+# Pull coupling against an independent oracle: the ticked ``python`` style
+# ---------------------------------------------------------------------------------
+_MODELS: dict = {}
+
+
+def _model(name: str, timestep: float):
+    from repro.circuits import benchmark_by_name
+    from repro.core import abstract_circuit
+
+    key = (name, timestep)
+    if key not in _MODELS:
+        bench = benchmark_by_name(name)
+        _MODELS[key] = abstract_circuit(bench.circuit(), bench.output, timestep)
+    return _MODELS[key]
+
+
+def attach_ticked_reference(platform: SmartSystemPlatform, model, stimuli) -> None:
+    """The ``python`` style as it was before pull coupling: a kernel ticker
+    steps the generated model every analog timestep and pushes each sample,
+    and the CPU keeps ending its blocks at peripheral accesses."""
+    from repro.core.codegen.python_backend import compile_model_cached
+    from repro.sim.de import PeriodicTicker
+
+    instance = compile_model_cached(model)()
+    waveforms = [stimuli[name] for name in instance.INPUTS]
+    single_output = len(instance.OUTPUTS) == 1
+
+    def tick(now: float) -> None:
+        result = instance.step(*[w(now) for w in waveforms], now)
+        platform.adc.push_sample(result if single_output else result[0])
+
+    PeriodicTicker(platform.kernel, "analog.cpp", platform.analog_timestep, tick)
+    platform.analog_style = "python"
+
+
+#: Block-stepping configurations compared against the per-tick oracle.
+PULL_CONFIGS = [(1, False), (7, False), (7, True), (256, False), (256, True)]
+
+
+def _stimuli(name: str) -> dict:
+    from repro.circuits import benchmark_by_name
+    from repro.sim import SquareWave
+
+    return {
+        port: SquareWave(amplitude=4 * wave.amplitude, period=20e-6, duty=0.4, delay=3e-7)
+        for port, wave in benchmark_by_name(name).stimuli.items()
+    }
+
+
+def _firmware(name: str) -> str:
+    from repro.vp import averaging_monitor_source, threshold_monitor_source
+
+    return threshold_monitor_source(500) if name == "threshold" else averaging_monitor_source(2)
+
+
+def coupled_run(
+    *,
+    ticked: bool,
+    component: str = "RC1",
+    firmware: str = "threshold",
+    block: int = 1,
+    superblocks: bool = False,
+    timestep: float = 50e-9,
+    cpu_clock_hz: float = 20e6,
+    record_analog: bool = True,
+    arm=None,
+    durations=(100e-6,),
+):
+    """One platform run with pull coupling, or with the ticked oracle."""
+    from repro.errors import ReproError
+
+    platform = SmartSystemPlatform(
+        cpu_clock_hz=cpu_clock_hz,
+        analog_timestep=timestep,
+        firmware=_firmware(firmware),
+        record_analog=record_analog,
+        cpu_block_cycles=block,
+        cpu_superblocks=superblocks,
+    )
+    model = _model(component, timestep)
+    if ticked:
+        attach_ticked_reference(platform, model, _stimuli(component))
+    else:
+        platform.attach_analog_python(model, _stimuli(component))
+    if arm is not None:
+        arm(platform)
+    try:
+        for duration in durations:
+            result = platform.run(duration)
+    except ReproError as error:
+        result = platform.snapshot(crashed=f"{type(error).__name__}: {error}")
+    return (
+        result.fingerprint(),
+        result.analog_trace,
+        result.simulated_time,
+        tuple(platform.cpu.registers[:32]),
+    )
+
+
+def assert_pull_matches_oracle(**case) -> tuple:
+    expected = coupled_run(ticked=True, **case)
+    for block, superblocks in PULL_CONFIGS:
+        observed = coupled_run(ticked=False, block=block, superblocks=superblocks, **case)
+        assert observed == expected, (block, superblocks, case)
+    return expected
+
+
+def _fault(name: str):
+    from repro.fault import (
+        AdcBitFlipFault,
+        AdcStuckBitFault,
+        InstructionCorruptionFault,
+        MemoryBitFlipFault,
+        RegisterTransientFault,
+        UartCorruptionFault,
+    )
+
+    # Threshold firmware: 0x44 holds the `beq` closing the sample loop, and
+    # register 11 ($t3) the previous threshold state.
+    return {
+        "adc-stuck1": AdcStuckBitFault(bit=4, stuck_at=1),
+        "adc-stuck0": AdcStuckBitFault(bit=9, stuck_at=0),
+        "adc-flip": AdcBitFlipFault(bit=9),
+        "uart-xor": UartCorruptionFault(0x20),
+        "register": RegisterTransientFault(register=11, bit=0),
+        "memory": MemoryBitFlipFault(0x44, 2),
+        "code": InstructionCorruptionFault(0x44),
+    }[name]
+
+
+class TestPullCouplingOracle:
+    """Pull coupling is bit-identical to the ticked model run per tick."""
+
+    @pytest.mark.parametrize("firmware", ["threshold", "averaging"])
+    @pytest.mark.parametrize("component", ["2IN", "RC1", "RC20", "OA"])
+    def test_components_and_firmwares(self, component, firmware):
+        fingerprint, trace, _, _ = assert_pull_matches_oracle(
+            component=component, firmware=firmware
+        )
+        assert len(trace) == fingerprint[3] == 2000
+
+    @pytest.mark.parametrize(
+        "fault", ["adc-stuck1", "adc-stuck0", "adc-flip", "uart-xor", "register", "memory", "code"]
+    )
+    def test_faults_activating_mid_block(self, fault):
+        import numpy as np
+
+        def arm(platform):
+            # 23.37 us is off the 50 ns grid and inside any 7- or 256-cycle block.
+            _fault(fault).arm(platform, 23.37e-6, np.random.default_rng(0))
+
+        faulted = assert_pull_matches_oracle(arm=arm)
+        golden = coupled_run(ticked=True)
+        assert faulted[0] != golden[0] or faulted[3] != golden[3], fault
+
+    @pytest.mark.parametrize("record_analog", [False, True])
+    @pytest.mark.parametrize("durations", [(37.3e-6, 62.7e-6), (50e-6, 25e-6, 25e-6)])
+    def test_split_runs(self, durations, record_analog):
+        fingerprint, trace, _, _ = assert_pull_matches_oracle(
+            firmware="averaging", durations=durations, record_analog=record_analog
+        )
+        assert (trace is None) != record_analog
+
+    @pytest.mark.parametrize(
+        "timestep, cpu_clock_hz", [(100e-9, 20e6), (75e-9, 20e6), (50e-9, 5e6)]
+    )
+    def test_samples_and_cycles_sharing_an_instant(self, timestep, cpu_clock_hz):
+        # Off the equal-grid default: a sample and a CPU cycle at the same
+        # instant are ordered by which event the kernel scheduled first.
+        assert_pull_matches_oracle(
+            firmware="averaging", timestep=timestep, cpu_clock_hz=cpu_clock_hz
+        )
+
+    def test_no_kernel_events_per_analog_timestep(self):
+        platform = SmartSystemPlatform(firmware=_firmware("threshold"))
+        platform.attach_analog_python(_model("RC1", 50e-9), _stimuli("RC1"))
+        result = platform.run(100e-6)
+        assert result.analog_samples == 2000
+        # 2000 cycles in 256-instruction blocks: a handful of CPU events and
+        # no analog ones.
+        assert platform.kernel._sequence <= 2000 // 256 + 2
