@@ -262,8 +262,7 @@ class FaultCampaignRunner:
     re-executing them — verdicts, coverage and reports of a resumed
     campaign are bit-identical to an uninterrupted one's.
     ``interrupt_after`` is the crash-simulation hook used by the resume
-    tests and the CI smoke job (see
-    :class:`~repro.sweep.platform.PlatformSweepRunner`).
+    tests and the CI smoke job (see :class:`~repro.sweep.executor.Executor`).
 
     ``lint`` enables the strict static-analysis gate: every built circuit is
     run through :func:`repro.lint.lint_circuit` after its fault is applied,

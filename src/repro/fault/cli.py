@@ -36,7 +36,7 @@ import argparse
 from ..circuits import benchmark_by_name
 from ..obs.export import write_trace_json
 from ..sim.sources import SquareWave
-from ..store import CampaignInterrupted, RunStore
+from ..store import CampaignInterrupted, as_run_store
 from ..sweep.platform import PlatformScenarioSpec
 from ..vp.firmware import threshold_monitor_source
 from .campaign import FaultCampaignRunner, FaultCampaignSpec
@@ -226,13 +226,14 @@ def main(argv: "list[str] | None" = None) -> int:
         seed=arguments.seed,
     )
     trace = bool(arguments.trace or arguments.telemetry or arguments.report)
+    store = as_run_store(arguments.store)
     runner = FaultCampaignRunner(
         bench.build,
         bench.output,
         stimuli,
         workers=arguments.workers,
         nrmse_threshold=arguments.nrmse_threshold,
-        store=arguments.store,
+        store=store,
         resume=arguments.resume,
         interrupt_after=arguments.interrupt_after,
         trace=trace or None,
@@ -253,17 +254,17 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"INTERRUPTED: {interrupt}")
         print(
             f"store {arguments.store} now holds "
-            f"{len(RunStore(arguments.store))} record(s); re-run with "
+            f"{len(store)} record(s); re-run with "
             f"--store {arguments.store} --resume to finish"
         )
         return 3
 
-    if arguments.store:
+    if store is not None:
         loaded = result.n_runs - result.executed_count
         print(
             f"campaign store {arguments.store}: {result.executed_count} runs "
             f"executed, {loaded} loaded (store holds "
-            f"{len(RunStore(arguments.store))} records)"
+            f"{len(store)} records)"
         )
     counts = result.counts()
     print(f"fault coverage: {result.coverage_text()} non-silent")

@@ -35,12 +35,13 @@ import platform as _platform
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..obs.export import write_trace_json
 from ..obs.telemetry import TelemetryReport
 from ..obs.tracer import TRACER, disable_tracing, enable_tracing
-from ..store import RunStore
+from ..sweep.executor import CampaignTask, Executor
 from .baseline import BaselineStore, BenchmarkRecord, git_identity
 from .suite import SUITE, run_suite
 
@@ -88,27 +89,28 @@ def _bench_store_inputs(name: str, smoke: bool) -> dict:
     }
 
 
-def _run_suite_through_store(
-    store: RunStore, smoke: bool, resume: bool
-) -> "tuple[list[BenchmarkRecord], int]":
-    """Run the suite with per-benchmark checkpoint/resume; returns
-    ``(records, loaded_count)``."""
-    records: list[BenchmarkRecord] = []
-    loaded = 0
-    for bench in SUITE:
-        name = bench.__name__.removeprefix("bench_")
-        inputs = _bench_store_inputs(name, smoke)
-        key = store.key(inputs)
-        if resume:
-            committed = store.load(key)
-            if committed is not None:
-                records.append(BenchmarkRecord.from_json(json.dumps(committed)))
-                loaded += 1
-                continue
-        record = bench(smoke)
-        store.commit(key, json.loads(record.to_json()), inputs=inputs)
-        records.append(record)
-    return records, loaded
+@dataclass
+class _SuiteTask(CampaignTask):
+    """The perf suite as a campaign: one stored record per benchmark."""
+
+    smoke: bool
+
+    engine = "perf-suite"
+    unit = "benchmarks"
+    counters = ("perf.benchmarks", "perf.loaded")
+
+    def store_inputs(self, bench) -> dict:
+        return _bench_store_inputs(bench.__name__.removeprefix("bench_"), self.smoke)
+
+    def encode(self, record: BenchmarkRecord) -> dict:
+        return json.loads(record.to_json())
+
+    def decode(self, payload: dict) -> BenchmarkRecord:
+        return BenchmarkRecord.from_json(json.dumps(payload))
+
+    def execute(self, benches, pending):
+        for position in pending:
+            yield position, benches[position](self.smoke)
 
 
 def main(argv: "list[str] | None" = None, default_out: str = DEFAULT_BASELINE_DIR) -> int:
@@ -220,10 +222,13 @@ def main(argv: "list[str] | None" = None, default_out: str = DEFAULT_BASELINE_DI
     loaded = 0
     try:
         if arguments.store is not None:
-            run_store = RunStore(arguments.store)
-            records, loaded = _run_suite_through_store(
-                run_store, arguments.smoke, arguments.resume
-            )
+            # The suite's own tracer bracket above covers both paths, so
+            # the executor only checkpoints.
+            outcome = Executor(
+                store=arguments.store, resume=arguments.resume, trace=False, progress=False
+            ).run(_SuiteTask(arguments.smoke), SUITE)
+            records = outcome.results
+            loaded = len(records) - int(outcome.executed.sum())
             print(
                 f"  suite store {arguments.store}: {len(records) - loaded} "
                 f"benchmark(s) executed, {loaded} loaded"

@@ -9,8 +9,8 @@ them.  This package provides it:
   lists;
 * :mod:`~repro.sweep.runner` — :class:`SweepRunner`, which abstracts every
   scenario, batches structurally identical models through the vectorized
-  NumPy backend, chunks across ``multiprocessing`` workers, and reuses
-  compiled classes through the source-digest cache;
+  NumPy backend, and reuses compiled classes through the source-digest
+  cache;
 * :mod:`~repro.sweep.results` — :class:`SweepResult`, the ensemble waveform
   matrices with envelope/summary aggregation and markdown/CSV reports;
 * :mod:`~repro.sweep.platform` — the same idea one level up:
@@ -18,7 +18,11 @@ them.  This package provides it:
   :class:`PlatformSweepResult` sweep the *complete* smart-system virtual
   platform (firmware, bus, ADC and all) across analog parameters ×
   integration styles × firmware variants × stimulus families, with
-  Table-III-style aggregation.
+  Table-III-style aggregation;
+* :mod:`~repro.sweep.executor` — the one campaign executor both runners
+  (and the fault campaign on top of the platform sweep) run through: store
+  resume and atomic commits, ``interrupt_after``, telemetry, progress and
+  the ``multiprocessing`` fan-out with its serial fallback.
 
 Quick start::
 
@@ -38,15 +42,15 @@ Quick start::
     print(result.to_markdown())
 """
 
+from .executor import SweepError
 from .platform import (
     PlatformScenario,
     PlatformScenarioSpec,
-    PlatformSweepConfig,
     PlatformSweepResult,
     PlatformSweepRunner,
 )
 from .results import SweepResult
-from .runner import SweepConfig, SweepError, SweepRunner, map_scenario_chunks
+from .runner import SweepRunner
 from .seeds import derive_seed, spawn_seeds
 from .spec import (
     CompositeSpec,
@@ -64,16 +68,13 @@ __all__ = [
     "MonteCarloSpec",
     "PlatformScenario",
     "PlatformScenarioSpec",
-    "PlatformSweepConfig",
     "PlatformSweepResult",
     "PlatformSweepRunner",
     "Scenario",
-    "SweepConfig",
     "SweepError",
     "SweepResult",
     "SweepRunner",
     "SweepSpec",
     "derive_seed",
-    "map_scenario_chunks",
     "spawn_seeds",
 ]

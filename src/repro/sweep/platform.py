@@ -29,23 +29,22 @@ sweeps trustworthy for design-space exploration.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..core.flow import AbstractionFlow
 from ..core.signalflow import SignalFlowModel
-from ..errors import CampaignInterrupted, ReproError, SimulationError
+from ..errors import ReproError, SimulationError
 from ..metrics.nrmse import nrmse
 from ..network.circuit import Circuit, canonical_quantity
-from ..obs.progress import ProgressReporter
 from ..obs.telemetry import TelemetryReport
-from ..obs.tracer import TRACER, disable_tracing, enable_tracing, tracing_enabled
+from ..obs.tracer import TRACER
 from ..sim.runners import resolve_steps
-from ..store import RunStore, as_run_store, fingerprint
+from ..store import RunStore, fingerprint
 from ..vp.platform import ANALOG_STYLES, PlatformRunResult, SmartSystemPlatform
-from .runner import SweepError, map_scenario_chunks
+from .executor import CampaignTask, Executor, SweepError
 from .seeds import spawn_seeds
 from .spec import Scenario, SweepSpec, _format_value
 
@@ -225,16 +224,19 @@ class PlatformScenarioSpec:
 
 
 @dataclass
-class PlatformSweepConfig:
-    """The picklable execution recipe shipped to every worker process."""
+class PlatformTask(CampaignTask):
+    """The picklable recipe of a platform sweep, shipped to every worker.
+
+    One executed unit is ``(PlatformRunResult, wall seconds inside
+    platform.run)``; its store record holds the result payload and the wall
+    time.
+    """
 
     factory: Callable[..., Circuit]
     output: str
     timestep: float
-    duration: float
     cpu_clock_hz: float
     stimuli: dict[str, StimulusFamily]
-    firmwares: dict[str, "str | None"]
     method: str = "backward_euler"
     record_analog: bool = True
     #: CPU instructions executed per DE-kernel event (see
@@ -252,68 +254,92 @@ class PlatformSweepConfig:
     #: whole sweep.  Fault campaigns set this: an injected fault taking the
     #: CPU down is a *classification outcome* (crash-halt), not a sweep error.
     capture_errors: bool = False
-    #: Campaign-store directory; workers check it before simulating (when
-    #: ``resume`` is set) and commit each run's result as it completes.
-    store_dir: str | None = None
-    resume: bool = False
-    #: Crash simulation for resume testing: raise
-    #: :class:`~repro.errors.CampaignInterrupted` after this many scenarios
-    #: have been *executed* (loaded ones do not count) in one worker.
-    interrupt_after: int | None = None
-    #: Enable the worker-local tracer and return a telemetry payload with
-    #: the chunk results (see :mod:`repro.obs`).
-    trace: bool = False
+    duration: float = 0.0
+    firmwares: dict[str, "str | None"] = field(default_factory=dict)
+
+    engine = "platform-sweep"
+    unit = "platform scenarios"
+    counters = ("platform.runs", "platform.loaded")
 
     @property
     def output_quantity(self) -> str:
         return canonical_quantity(self.output)
 
+    def store_inputs(self, scenario: PlatformScenario) -> dict:
+        """The full-input payload whose digest addresses one platform run.
 
-def _platform_store_inputs(
-    config: PlatformSweepConfig, scenario: PlatformScenario
-) -> dict:
-    """The full-input payload whose digest addresses one platform run.
+        Covers the circuit factory, analog parameters, integration style,
+        firmware *source* (names are presentation; the assembled image is
+        what runs), resolved stimulus family plus scenario seed, the
+        execution grid and any scenario-subclass extras (fault spec).
+        ``cpu_block_cycles`` is deliberately excluded: block-stepped
+        execution is guaranteed (and tested) to produce bit-identical
+        fingerprints and ADC traces at any block size, so records are shared
+        across block configurations.  ``cosim_options`` only key
+        co-simulation scenarios, the one style they affect.  Scenario
+        position/label are excluded — identical work shares a record no
+        matter where it sits in the expansion.
+        """
+        return {
+            "engine": "platform-sweep",
+            "factory": fingerprint(self.factory),
+            "output": self.output,
+            "timestep": self.timestep,
+            "duration": self.duration,
+            "cpu_clock_hz": self.cpu_clock_hz,
+            "method": self.method,
+            "record_analog": self.record_analog,
+            "cosim_options": (
+                [[name, value] for name, value in sorted(self.cosim_options.items())]
+                if scenario.style == "cosim"
+                else []
+            ),
+            "firmware": self.firmwares[scenario.firmware],
+            "stimulus": fingerprint(self.stimuli[scenario.stimulus]),
+            "seed": scenario.seed,
+            "style": scenario.style,
+            # fingerprint() also canonicalizes numpy-typed parameter values
+            # (np.float32/np.int64 from array-built axes are not JSON types).
+            "params": [
+                [name, fingerprint(value)]
+                for name, value in sorted(scenario.params.items())
+            ],
+            "extras": scenario.store_key_extras(),
+        }
 
-    Covers the circuit factory, analog parameters, integration style,
-    firmware *source* (names are presentation; the assembled image is what
-    runs), resolved stimulus family plus scenario seed, the execution grid
-    and any scenario-subclass extras (fault spec).  ``cpu_block_cycles`` is
-    deliberately excluded: block-stepped execution is guaranteed (and
-    tested) to produce bit-identical fingerprints and ADC traces at any
-    block size, so records are shared across block configurations.
-    ``cosim_options`` only key co-simulation scenarios, the one style they
-    affect.  Scenario position/label are excluded — identical work shares a
-    record no matter where it sits in the expansion.
-    """
-    return {
-        "engine": "platform-sweep",
-        "factory": fingerprint(config.factory),
-        "output": config.output,
-        "timestep": config.timestep,
-        "duration": config.duration,
-        "cpu_clock_hz": config.cpu_clock_hz,
-        "method": config.method,
-        "record_analog": config.record_analog,
-        "cosim_options": (
-            [[name, value] for name, value in sorted(config.cosim_options.items())]
-            if scenario.style == "cosim"
-            else []
-        ),
-        "firmware": config.firmwares[scenario.firmware],
-        "stimulus": fingerprint(config.stimuli[scenario.stimulus]),
-        "seed": scenario.seed,
-        "style": scenario.style,
-        # fingerprint() also canonicalizes numpy-typed parameter values
-        # (np.float32/np.int64 from array-built axes are not JSON types).
-        "params": [
-            [name, fingerprint(value)]
-            for name, value in sorted(scenario.params.items())
-        ],
-        "extras": scenario.store_key_extras(),
-    }
+    def encode(self, result: "tuple[PlatformRunResult, float]") -> dict:
+        run, wall = result
+        return {"result": run.to_payload(), "elapsed": wall}
+
+    def decode(self, record: dict) -> "tuple[PlatformRunResult, float] | None":
+        stored = PlatformRunResult.from_payload(record["result"])
+        # A crashed result is only a valid outcome under error capture;
+        # without it the engine's contract is to raise, so re-execute and
+        # let the real error surface.
+        if stored.crashed is not None and not self.capture_errors:
+            return None
+        return stored, float(record.get("elapsed", 0.0))
+
+    def execute(self, scenarios: Sequence[PlatformScenario], pending: list[int]):
+        """Run the pending scenarios one by one, yielding each as it ends."""
+        # The abstracted model depends only on the analog parameters, so the
+        # three abstracted styles of one analog point share one abstraction.
+        model_memo: dict[tuple, SignalFlowModel] = dict(self.premade_models)
+        for position in pending:
+            result, wall = _run_platform_scenario(self, scenarios[position], model_memo)
+            if TRACER.enabled:
+                TRACER.add("platform.instructions", float(result.instructions))
+                TRACER.add("platform.bus_transactions", float(result.bus_transactions))
+                TRACER.add("platform.analog_samples", float(result.analog_samples))
+                if result.crashed is not None:
+                    TRACER.add("platform.crashes")
+            yield position, (result, wall)
+
+    def latency(self, result: "tuple[PlatformRunResult, float]") -> float:
+        return result[1]
 
 
-def _resolve_stimuli(config: PlatformSweepConfig, scenario: PlatformScenario) -> Stimuli:
+def _resolve_stimuli(config: PlatformTask, scenario: PlatformScenario) -> Stimuli:
     try:
         family = config.stimuli[scenario.stimulus]
     except KeyError as exc:
@@ -328,7 +354,7 @@ def _resolve_stimuli(config: PlatformSweepConfig, scenario: PlatformScenario) ->
 
 
 def _run_platform_scenario(
-    config: PlatformSweepConfig,
+    config: PlatformTask,
     scenario: PlatformScenario,
     model_memo: dict,
 ) -> tuple[PlatformRunResult, float]:
@@ -376,102 +402,6 @@ def _run_platform_scenario(
         return result, wall
 
 
-def _run_platform_chunk(
-    payload: tuple[PlatformSweepConfig, list[PlatformScenario]],
-    progress: "Callable[[int], None] | None" = None,
-) -> dict:
-    """Run one contiguous chunk of platform scenarios (worker entry point).
-
-    With a campaign store configured, each scenario's content key is checked
-    before simulating: committed runs are loaded (``resume``), fresh runs
-    are committed atomically the moment they complete — killing the process
-    mid-chunk preserves every finished scenario.  ``interrupt_after``
-    simulates exactly that kill: the worker raises
-    :class:`~repro.errors.CampaignInterrupted` once its execution budget is
-    spent, *after* committing what it ran.
-
-    The ``progress`` callback is only ever passed by the serial path (pool
-    submissions keep the payload a picklable tuple); with ``config.trace``
-    set the chunk enables the process-local tracer and returns a compact
-    telemetry payload under the ``"telemetry"`` key.
-    """
-    config, scenarios = payload
-    store = RunStore(config.store_dir) if config.store_dir else None
-    results: list[PlatformRunResult] = []
-    elapsed: list[float] = []
-    executed: list[bool] = []
-    executed_count = 0
-    tracer_was_enabled = TRACER.enabled
-    if config.trace and not tracer_was_enabled:
-        enable_tracing()
-    trace_on = TRACER.enabled
-    telemetry_mark = TRACER.mark() if trace_on else None
-    # The abstracted model depends only on the analog parameters, so the
-    # three abstracted styles of one analog point share one abstraction.
-    model_memo: dict[tuple, SignalFlowModel] = dict(config.premade_models)
-    try:
-        for scenario in scenarios:
-            inputs = key = None
-            if store is not None:
-                inputs = _platform_store_inputs(config, scenario)
-                key = store.key(inputs)
-                if config.resume:
-                    record = store.load(key)
-                    if record is not None:
-                        stored = PlatformRunResult.from_payload(record["result"])
-                        # A crashed result is only a valid outcome under error
-                        # capture; without it the engine's contract is to raise,
-                        # so re-execute and let the real error surface.
-                        if stored.crashed is not None and not config.capture_errors:
-                            record = None
-                        else:
-                            results.append(stored)
-                            elapsed.append(float(record.get("elapsed", 0.0)))
-                            executed.append(False)
-                            if trace_on:
-                                TRACER.add("platform.loaded")
-                            if progress is not None:
-                                progress(1)
-                            continue
-            if (
-                config.interrupt_after is not None
-                and executed_count >= config.interrupt_after
-            ):
-                raise CampaignInterrupted(
-                    f"worker interrupted after executing {executed_count} "
-                    f"scenario(s); {len(store) if store is not None else 0} "
-                    f"record(s) committed"
-                )
-            result, wall = _run_platform_scenario(config, scenario, model_memo)
-            if store is not None:
-                store.commit(
-                    key, {"result": result.to_payload(), "elapsed": wall}, inputs=inputs
-                )
-            results.append(result)
-            elapsed.append(wall)
-            executed.append(True)
-            executed_count += 1
-            if trace_on:
-                TRACER.add("platform.runs")
-                TRACER.add("platform.instructions", float(result.instructions))
-                TRACER.add("platform.bus_transactions", float(result.bus_transactions))
-                TRACER.add("platform.analog_samples", float(result.analog_samples))
-                if result.crashed is not None:
-                    TRACER.add("platform.crashes")
-            if progress is not None:
-                progress(1)
-    finally:
-        if config.trace and not tracer_was_enabled:
-            disable_tracing()
-    telemetry = TRACER.collect(telemetry_mark) if telemetry_mark is not None else None
-    return {
-        "results": results,
-        "elapsed": elapsed,
-        "executed": executed,
-        "telemetry": telemetry,
-    }
-
-
 class PlatformSweepRunner:
     """Expand a platform spec, run every scenario, aggregate into a result.
 
@@ -496,9 +426,6 @@ class PlatformSweepRunner:
         (any ``Mapping`` value means a family table).  Only needed for a
         family table whose every family is a seed-taking factory, which is
         indistinguishable from a plain waveform mapping by inspection.
-    workers:
-        ``multiprocessing`` worker count; ``1`` runs serially.  Multiprocess
-        and serial runs produce identical per-scenario outcomes.
     record_analog:
         Record the ADC sample stream of every run (needed for cross-style
         NRMSE columns; costs one float per analog timestep).
@@ -511,27 +438,13 @@ class PlatformSweepRunner:
         :class:`~repro.errors.ReproError` as a *crashed*
         :class:`~repro.vp.platform.PlatformRunResult` instead of aborting the
         sweep (see the fault campaign layer, :mod:`repro.fault`).
-    store:
-        A campaign directory (or :class:`~repro.store.RunStore`) into which
-        every completed run's outcome — fingerprint fields, metrics and the
-        optional ADC trace — is committed atomically as it finishes.
-    resume:
-        Load runs already committed to ``store`` instead of re-executing
-        them (requires ``store``).  A resumed sweep's fingerprints are
-        bit-identical to an uninterrupted run's.
-    interrupt_after:
-        Testing/CI hook simulating a crash: each worker raises
-        :class:`~repro.errors.CampaignInterrupted` after *executing* (not
-        loading) this many scenarios, leaving the store with exactly the
-        committed prefix.
-    trace:
-        Collect per-worker telemetry and attach a merged
-        :class:`~repro.obs.telemetry.TelemetryReport` to the result.
-        ``None`` (the default) follows the process-wide tracing switch
-        (:func:`repro.obs.enable_tracing`).
-    progress:
-        Render a live throttled progress line on stderr.  ``None`` (the
-        default) shows it only when stderr is a terminal.
+    workers / store / resume / interrupt_after / trace / progress:
+        How the scenarios execute, see
+        :class:`~repro.sweep.executor.Executor`.  Multiprocess and serial
+        runs produce identical per-scenario outcomes; every completed run's
+        outcome — fingerprint fields, metrics and the optional ADC trace —
+        is committed to ``store`` as it finishes, and a resumed sweep's
+        fingerprints are bit-identical to an uninterrupted run's.
     """
 
     def __init__(
@@ -557,37 +470,32 @@ class PlatformSweepRunner:
     ) -> None:
         if timestep <= 0.0:
             raise ValueError("timestep must be positive")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         if cpu_block_cycles < 1:
             raise ValueError("cpu_block_cycles must be at least 1")
-        if interrupt_after is not None and interrupt_after < 0:
-            raise ValueError("interrupt_after must be non-negative")
-        self.factory = factory
-        self.output = output
-        self.stimuli = self._normalise_families(stimuli, families)
-        self.timestep = float(timestep)
-        self.cpu_clock_hz = float(cpu_clock_hz)
-        self.method = method
-        self.workers = int(workers)
-        self.record_analog = bool(record_analog)
-        self.cpu_block_cycles = int(cpu_block_cycles)
-        self.cosim_options = dict(cosim_options or {})
-        self.capture_errors = bool(capture_errors)
-        self.store = as_run_store(store)
-        if resume and self.store is None:
-            raise SweepError("resume=True needs a store to resume from")
-        self.resume = bool(resume)
-        if interrupt_after is not None and self.store is None:
-            raise SweepError("interrupt_after without a store would lose all work")
-        self.interrupt_after = interrupt_after
-        self.trace = trace
-        self.progress = progress
-        #: (params, model) pairs of already-abstracted analog points.
-        self.premade_models = {
-            tuple(sorted(params.items())): model
-            for params, model in (premade_models or ())
-        }
+        self.task = PlatformTask(
+            factory=factory,
+            output=output,
+            timestep=float(timestep),
+            cpu_clock_hz=float(cpu_clock_hz),
+            stimuli=self._normalise_families(stimuli, families),
+            method=method,
+            record_analog=bool(record_analog),
+            cpu_block_cycles=int(cpu_block_cycles),
+            cosim_options=dict(cosim_options or {}),
+            premade_models={
+                tuple(sorted(params.items())): model
+                for params, model in (premade_models or ())
+            },
+            capture_errors=bool(capture_errors),
+        )
+        self.executor = Executor(
+            workers=int(workers),
+            store=store,
+            resume=bool(resume),
+            interrupt_after=interrupt_after,
+            trace=trace,
+            progress=progress,
+        )
 
     @staticmethod
     def _normalise_families(
@@ -647,96 +555,33 @@ class PlatformSweepRunner:
         if not scenarios:
             raise SweepError("the platform spec expanded to zero scenarios")
         try:
-            resolve_steps(duration, self.timestep)
+            resolve_steps(duration, self.task.timestep)
         except SimulationError as exc:
             raise SweepError(str(exc)) from exc
         missing = [
             scenario.stimulus
             for scenario in scenarios
-            if scenario.stimulus not in self.stimuli
+            if scenario.stimulus not in self.task.stimuli
         ]
         if missing:
             raise SweepError(
                 f"scenarios reference unknown stimulus families "
-                f"{sorted(set(missing))}; the runner knows {sorted(self.stimuli)}"
+                f"{sorted(set(missing))}; the runner knows {sorted(self.task.stimuli)}"
             )
 
-        config = PlatformSweepConfig(
-            factory=self.factory,
-            output=self.output,
-            timestep=self.timestep,
-            duration=float(duration),
-            cpu_clock_hz=self.cpu_clock_hz,
-            stimuli=self.stimuli,
-            firmwares=dict(firmwares),
-            method=self.method,
-            record_analog=self.record_analog,
-            cpu_block_cycles=self.cpu_block_cycles,
-            cosim_options=self.cosim_options,
-            premade_models=self.premade_models,
-            capture_errors=self.capture_errors,
-            store_dir=str(self.store.directory) if self.store is not None else None,
-            resume=self.resume,
-            interrupt_after=self.interrupt_after,
-            trace=tracing_enabled() if self.trace is None else bool(self.trace),
-        )
-
-        reporter = ProgressReporter(
-            len(scenarios), "platform scenarios", enabled=self.progress
-        )
-        advance = reporter.advance if reporter.active else None
-
-        wall_start = _time.perf_counter()
-        workers_used = 1
-        chunk_results = None
-        try:
-            if self.workers > 1 and len(scenarios) > 1:
-                chunk_results = map_scenario_chunks(
-                    _run_platform_chunk, config, scenarios, self.workers, advance
-                )
-                if chunk_results is not None:
-                    workers_used = min(self.workers, len(scenarios))
-            if chunk_results is None:
-                chunk_results = [
-                    _run_platform_chunk((config, scenarios), progress=advance)
-                ]
-        finally:
-            reporter.finish()
-
-        results: list[PlatformRunResult] = []
-        elapsed: list[float] = []
-        executed: list[bool] = []
-        for chunk in chunk_results:
-            results.extend(chunk["results"])
-            elapsed.extend(chunk["elapsed"])
-            executed.extend(chunk["executed"])
-        wall = _time.perf_counter() - wall_start
-        elapsed_array = np.asarray(elapsed, dtype=float)
-        executed_array = np.asarray(executed, dtype=bool)
-        telemetry = None
-        if config.trace:
-            telemetry = TelemetryReport.merge(
-                "platform-sweep",
-                [chunk.get("telemetry") for chunk in chunk_results],
-                scenarios=len(scenarios),
-                executed=int(np.count_nonzero(executed_array)),
-                wall=wall,
-                workers=workers_used,
-                latencies=elapsed_array[executed_array],
-            )
+        task = replace(self.task, duration=float(duration), firmwares=firmwares)
+        outcome = self.executor.run(task, scenarios)
+        elapsed = [wall for _, wall in outcome.results]
         return PlatformSweepResult(
             scenarios=scenarios,
-            results=results,
-            elapsed=elapsed_array,
+            results=[result for result, _ in outcome.results],
+            elapsed=np.asarray(elapsed, dtype=float),
             duration=float(duration),
-            timestep=self.timestep,
-            workers=workers_used,
-            timings={
-                "wall": wall,
-                "simulate": float(sum(elapsed)),
-            },
-            executed=executed_array,
-            telemetry=telemetry,
+            timestep=task.timestep,
+            workers=outcome.workers,
+            timings={"wall": outcome.wall, "simulate": float(sum(elapsed))},
+            executed=outcome.executed,
+            telemetry=outcome.telemetry,
         )
 
 

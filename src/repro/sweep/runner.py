@@ -13,10 +13,11 @@ waveforms:
    loop instead of 256;
 3. compiled classes are reused through the source-digest cache
    (:mod:`repro.core.codegen.cache`);
-4. with ``workers > 1`` the scenario list is chunked across
-   ``multiprocessing`` workers (serial fallback when the platform or the
-   payload does not cooperate), and chunk results are concatenated in
-   scenario order, so multiprocess and serial runs are bit-identical.
+4. the campaign executor (:mod:`repro.sweep.executor`) chunks the scenario
+   list across ``multiprocessing`` workers (serial fallback when the
+   platform or the payload does not cooperate), loads and commits store
+   records, and reassembles the rows in scenario order, so multiprocess,
+   serial and resumed runs are bit-identical.
 
 The scalar ``backend="python"`` path runs each scenario through the
 generated per-scenario ``step`` class instead; it exists as the equivalence
@@ -27,172 +28,182 @@ from __future__ import annotations
 
 import hashlib
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.codegen.cache import cache_info
 from ..core.codegen.native_backend import NativeGenerator, toolchain_error
 from ..core.codegen.numpy_backend import NumpyGenerator, structure_signature
 from ..core.codegen.python_backend import compile_model_cached
 from ..core.flow import AbstractionFlow
 from ..core.signalflow import SignalFlowModel
-from ..errors import ReproError, SimulationError, StoreError
+from ..errors import SimulationError, StoreError
 from ..metrics.nrmse import compare_traces
 from ..network.circuit import Circuit
-from ..obs.progress import ProgressReporter
-from ..obs.telemetry import TelemetryReport
-from ..obs.tracer import TRACER, disable_tracing, enable_tracing, tracing_enabled
+from ..obs.tracer import TRACER
 from ..sim.runners import resolve_steps, run_reference_model
 from ..sim.trace import Trace
-from ..store import RunStore, as_run_store, fingerprint
+from ..store import RunStore, fingerprint
+from .executor import CampaignTask, Executor, SweepError
 from .results import SweepResult
 from .spec import Scenario, SweepSpec
 
 Stimuli = Mapping[str, Callable[[float], float]]
 
 
-class SweepError(ReproError):
-    """Raised when a sweep cannot be expanded or executed."""
-
-
-def map_scenario_chunks(
-    worker: Callable[[tuple], object],
-    config: object,
-    scenarios: Sequence,
-    workers: int,
-    progress: "Callable[[int], None] | None" = None,
-) -> "list | None":
-    """Run ``worker((config, chunk))`` over contiguous chunks in a process pool.
-
-    Shared by every sweep runner (signal-flow and platform).  Returns the
-    chunk results in scenario order, or ``None`` when the pool cannot be
-    built or the payload cannot be pickled — the caller then falls back to
-    the serial path, which by construction produces identical results.
-
-    ``progress`` (scenario-count callback) is invoked in the parent as each
-    chunk completes; chunk results still arrive in submission order.
-
-    Payload picklability is probed *before* submission (``pickle.dumps`` of
-    the exact task list), so an unpicklable recipe is a clean serial
-    fallback while any exception raised by ``pool.map`` itself is a genuine
-    worker error (bad factory arguments, abstraction failures, a simulated
-    campaign interruption...) and propagates unchanged — a worker error
-    that merely *mentions* pickling in its message must not be misrouted
-    into a silent serial retry.
-    """
-    import multiprocessing
-    import pickle
-    import warnings
-
-    workers = min(workers, len(scenarios))
-    bounds = np.linspace(0, len(scenarios), workers + 1).astype(int)
-    chunks = [
-        scenarios[start:stop]
-        for start, stop in zip(bounds[:-1], bounds[1:])
-        if stop > start
-    ]
-    payloads = [(config, chunk) for chunk in chunks]
-
-    class _NullSink:
-        """Discards pickle output: the probe needs the errors, not the bytes."""
-
-        @staticmethod
-        def write(data: bytes) -> int:
-            return len(data)
-
-    try:
-        # Probe the submission path: exactly what the pool would serialize.
-        # Unpicklable objects raise PicklingError (lambdas), AttributeError
-        # (local functions) or TypeError (unpicklable C objects).  One extra
-        # serialization pass on startup buys deterministic error routing —
-        # any exception out of pool.map below is then a *worker* error.
-        pickle.Pickler(_NullSink()).dump(payloads)
-    except (pickle.PicklingError, AttributeError, TypeError) as error:
-        warnings.warn(
-            f"sweep payload is not picklable, running serially ({error})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    try:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        pool = context.Pool(processes=len(chunks))
-    except (OSError, ValueError, AttributeError, ImportError) as error:
-        # The *pool* could not be built (no fork, fd limits...): fall back.
-        warnings.warn(
-            f"sweep falling back to serial execution ({error})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    with pool:
-        if progress is None:
-            return pool.map(worker, payloads)
-        results = []
-        # imap preserves submission order while letting the parent observe
-        # each chunk as it lands — exactly what the progress line needs.
-        for chunk, result in zip(chunks, pool.imap(worker, payloads)):
-            results.append(result)
-            progress(len(chunk))
-        return results
-
-
 @dataclass
-class SweepConfig:
-    """The picklable execution recipe shipped to every worker process."""
+class SweepTask(CampaignTask):
+    """The picklable recipe of a sweep, shipped to every worker process.
+
+    One executed unit is one scenario's waveform rows in store-record form
+    (``steps``, structure ``signature`` digest, output ``order`` and the
+    ``outputs`` rows), so a loaded scenario and a simulated one are the same
+    value.  ``order`` travels explicitly because JSON objects are written
+    key-sorted: a fully resumed run must assemble its ensemble in the same
+    column order as a fresh one.
+    """
 
     factory: Callable[..., Circuit]
     outputs: list[str]
     timestep: float
-    duration: float
     stimuli: dict[str, Callable[[float], float]]
     method: str = "backward_euler"
     backend: str = "numpy"
     name: str | None = None
-    #: Campaign-store directory; workers check it before simulating (when
-    #: ``resume`` is set) and commit each scenario's rows as they complete.
-    store_dir: str | None = None
-    resume: bool = False
-    #: Enable the worker-local tracer and return a telemetry payload with
-    #: the chunk results (see :mod:`repro.obs`).
-    trace: bool = False
     #: Strict static-analysis gate: lint every abstracted model before it is
     #: simulated and raise :class:`repro.lint.LintError` on any error
     #: diagnostic (see :mod:`repro.lint.artifact_rules`).
     lint: bool = False
+    duration: float = 0.0
+
+    engine = "sweep"
+    unit = "sweep scenarios"
+    counters = ("sweep.scenarios", "sweep.loaded")
+
+    @property
+    def steps(self) -> int:
+        return resolve_steps(self.duration, self.timestep)
+
+    def store_inputs(self, scenario: Scenario) -> dict:
+        """The full-input payload whose digest addresses one sweep scenario.
+
+        Covers everything that determines the scenario's waveforms: the
+        circuit factory identity, its parameters, the recorded outputs, the
+        execution grid (duration/timestep), the discretisation method, the
+        backend and the resolved stimulus set.  Scenario position/label are
+        deliberately excluded — identical work shares a record no matter
+        where it sits in the expansion.
+        """
+        return {
+            "engine": "sweep",
+            "factory": fingerprint(self.factory),
+            "outputs": list(self.outputs),
+            "timestep": self.timestep,
+            "duration": self.duration,
+            "method": self.method,
+            "backend": self.backend,
+            # fingerprint() also canonicalizes numpy-typed parameter values
+            # (np.float32/np.int64 from array-built axes are not JSON types).
+            "params": [
+                [name, fingerprint(value)]
+                for name, value in sorted(scenario.params.items())
+            ],
+            "stimuli": fingerprint(dict(_scenario_stimuli(self, scenario))),
+        }
+
+    def encode(self, rows: dict) -> dict:
+        return rows
+
+    def decode(self, record: dict) -> dict:
+        """Validate a stored scenario's rows against the execution grid."""
+        stored = record.get("outputs")
+        if not isinstance(stored, dict):
+            raise StoreError("the record has no output rows")
+        steps = self.steps
+        order = list(record.get("order") or stored)
+        rows: dict[str, np.ndarray] = {}
+        for name in order:
+            if name not in stored:
+                raise StoreError(f"the record lacks output {name!r} (has {sorted(stored)})")
+            rows[name] = np.asarray(stored[name], dtype=float)
+            if rows[name].shape != (steps,):
+                raise StoreError(
+                    f"the record holds {rows[name].shape} samples for output "
+                    f"{name!r}, expected ({steps},)"
+                )
+        return {
+            "steps": steps,
+            "signature": record.get("signature"),
+            "order": order,
+            "outputs": rows,
+        }
+
+    def execute(self, scenarios: Sequence[Scenario], pending: list[int]):
+        """Abstract the pending scenarios, then simulate them group by group.
+
+        Structurally identical models form one vectorized batch (numpy and
+        native backends); the scalar ``python`` backend runs each scenario
+        alone.  Every scenario of a group is yielded as soon as the group
+        finishes.
+        """
+        start = _time.perf_counter()
+        models = {
+            position: _abstract_scenario(self, scenarios[position])
+            for position in pending
+        }
+        abstract = _time.perf_counter() - start
+        TRACER.complete("sweep.abstract", start, abstract, "sweep", scenarios=len(pending))
+        if self.lint and pending:
+            _lint_models(
+                [models[position] for position in pending],
+                [scenarios[position] for position in pending],
+            )
+
+        steps = self.steps
+        start = _time.perf_counter()
+        if self.backend == "python":
+            groups = [(structure_signature(models[p]), [p]) for p in pending]
+        else:
+            grouped: dict[tuple, list[int]] = {}
+            for position in pending:
+                grouped.setdefault(structure_signature(models[position]), []).append(
+                    position
+                )
+            groups = grouped.items()
+        simulate_group = _simulate_scalar if self.backend == "python" else _simulate_batch
+        for signature, positions in groups:
+            group_models = [models[i] for i in positions]
+            matrices = simulate_group(
+                self, [scenarios[i] for i in positions], group_models, steps
+            )
+            digest = _signature_digest(signature)
+            order = list(group_models[0].outputs)
+            for row, position in enumerate(positions):
+                yield position, {
+                    "steps": steps,
+                    "signature": digest,
+                    "order": order,
+                    "outputs": {name: matrices[name][row] for name in order},
+                }
+        simulate = _time.perf_counter() - start
+        TRACER.complete("sweep.simulate", start, simulate, "sweep", scenarios=len(pending))
+        return {"abstract": abstract, "simulate": simulate}
 
 
-def _scenario_store_inputs(config: SweepConfig, scenario: Scenario) -> dict:
-    """The full-input payload whose digest addresses one sweep scenario.
+def _lint_models(models: list[SignalFlowModel], scenarios: list[Scenario]) -> None:
+    """Raise :class:`repro.lint.LintError` on any error diagnostic."""
+    from ..lint import LintError, lint_model
 
-    Covers everything that determines the scenario's waveforms: the circuit
-    factory identity, its parameters, the recorded outputs, the execution
-    grid (duration/timestep), the discretisation method, the backend and the
-    resolved stimulus set.  Scenario position/label are deliberately
-    excluded — identical work shares a record no matter where it sits in
-    the expansion.
-    """
-    return {
-        "engine": "sweep",
-        "factory": fingerprint(config.factory),
-        "outputs": list(config.outputs),
-        "timestep": config.timestep,
-        "duration": config.duration,
-        "method": config.method,
-        "backend": config.backend,
-        # fingerprint() also canonicalizes numpy-typed parameter values
-        # (np.float32/np.int64 from array-built axes are not JSON types).
-        "params": [
-            [name, fingerprint(value)]
-            for name, value in sorted(scenario.params.items())
-        ],
-        "stimuli": fingerprint(dict(_scenario_stimuli(config, scenario))),
-    }
+    report = None
+    for model, scenario in zip(models, scenarios):
+        scenario_report = lint_model(model, file=f"<scenario:{scenario.describe()}>")
+        if report is None:
+            report = scenario_report
+        else:
+            report.extend(scenario_report)
+    if not report.ok:
+        raise LintError(report)
 
 
 def _signature_digest(signature: tuple) -> str:
@@ -200,19 +211,19 @@ def _signature_digest(signature: tuple) -> str:
     return hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()[:16]
 
 
-def _abstract_scenario(config: SweepConfig, scenario: Scenario) -> SignalFlowModel:
+def _abstract_scenario(config: SweepTask, scenario: Scenario) -> SignalFlowModel:
     circuit = config.factory(**scenario.params)
     flow = AbstractionFlow(config.timestep, method=config.method)
     name = config.name or circuit.name
     return flow.abstract(circuit, list(config.outputs), name=name).model
 
 
-def _scenario_stimuli(config: SweepConfig, scenario: Scenario) -> Stimuli:
+def _scenario_stimuli(config: SweepTask, scenario: Scenario) -> Stimuli:
     return scenario.stimuli if scenario.stimuli is not None else config.stimuli
 
 
 def _input_columns(
-    config: SweepConfig,
+    config: SweepTask,
     scenarios: Sequence[Scenario],
     input_names: Sequence[str],
 ):
@@ -242,7 +253,7 @@ def _input_columns(
 
 
 def _simulate_batch(
-    config: SweepConfig,
+    config: SweepTask,
     scenarios: Sequence[Scenario],
     models: Sequence[SignalFlowModel],
     steps: int,
@@ -274,16 +285,16 @@ def _simulate_batch(
 
 
 def _simulate_scalar(
-    config: SweepConfig,
-    scenario: Scenario,
-    model: SignalFlowModel,
+    config: SweepTask,
+    scenarios: Sequence[Scenario],
+    models: Sequence[SignalFlowModel],
     steps: int,
 ) -> dict[str, np.ndarray]:
     """Run one scenario through the per-scenario generated ``step`` class."""
+    (model,) = models
     instance = compile_model_cached(model)()
     dt = float(config.timestep)
-    stimuli = _scenario_stimuli(config, scenario)
-    waveforms = [stimuli[name] for name in instance.INPUTS]
+    waveforms = _input_columns(config, scenarios, instance.INPUTS)
     output_names = list(instance.OUTPUTS)
     single_output = len(output_names) == 1
     rows = {name: np.zeros(steps) for name in output_names}
@@ -297,228 +308,6 @@ def _simulate_scalar(
             for name, value in zip(output_names, result):
                 rows[name][index] = value
     return {name: row.reshape(1, steps) for name, row in rows.items()}
-
-
-def _commit_scenario(
-    store: RunStore,
-    key: str,
-    inputs: dict,
-    rows: "dict[str, np.ndarray]",
-    steps: int,
-    signature: tuple,
-) -> None:
-    """Persist one completed scenario's waveform rows (atomic publish)."""
-    store.commit(
-        key,
-        {
-            "steps": steps,
-            "signature": _signature_digest(signature),
-            # JSON objects are written key-sorted; the model's output order
-            # must survive explicitly or a fully-resumed run would assemble
-            # its ensemble in a different column order than a fresh one.
-            "order": list(rows),
-            "outputs": {name: row for name, row in rows.items()},
-        },
-        inputs=inputs,
-    )
-
-
-def _load_scenario_rows(
-    record: dict,
-    output_names: "list[str]",
-    steps: int,
-    store: RunStore,
-    key: str,
-) -> "dict[str, np.ndarray]":
-    """Reconstruct a stored scenario's rows, validating shape and coverage."""
-    rows: dict[str, np.ndarray] = {}
-    stored = record.get("outputs")
-    if not isinstance(stored, dict):
-        raise StoreError(f"store record {store.path_for(key)} has no output rows")
-    for name in output_names:
-        if name not in stored:
-            raise StoreError(
-                f"store record {store.path_for(key)} lacks output {name!r} "
-                f"(has {sorted(stored)})"
-            )
-        row = np.asarray(stored[name], dtype=float)
-        if row.shape != (steps,):
-            raise StoreError(
-                f"store record {store.path_for(key)} holds {row.shape} samples "
-                f"for output {name!r}, expected ({steps},)"
-            )
-        rows[name] = row
-    return rows
-
-
-def _run_chunk(
-    payload: tuple[SweepConfig, list[Scenario]],
-    progress: "Callable[[int], None] | None" = None,
-) -> dict:
-    """Abstract, group and simulate one contiguous chunk of scenarios.
-
-    Module-level so that :mod:`multiprocessing` can import it in workers; the
-    serial path calls it directly with the whole scenario list (and may pass
-    a ``progress`` callback — pool submissions never do, keeping the payload
-    a plain picklable tuple).
-
-    With a campaign store configured, scenarios whose content key is already
-    committed are loaded instead of re-executed (``resume``), and every
-    freshly simulated scenario is committed atomically the moment its group
-    finishes — killing the process mid-chunk preserves all completed work.
-
-    With ``config.trace`` set the chunk enables the process-local tracer and
-    returns a compact telemetry payload under the ``"telemetry"`` key.
-    """
-    config, scenarios = payload
-    timings = {"abstract": 0.0, "simulate": 0.0}
-
-    tracer_was_enabled = TRACER.enabled
-    if config.trace and not tracer_was_enabled:
-        enable_tracing()
-    telemetry_mark = TRACER.mark() if TRACER.enabled else None
-
-    store = RunStore(config.store_dir) if config.store_dir else None
-    keys: list[str | None] = [None] * len(scenarios)
-    inputs: list[dict | None] = [None] * len(scenarios)
-    loaded: dict[int, dict] = {}
-    if store is not None:
-        for position, scenario in enumerate(scenarios):
-            inputs[position] = _scenario_store_inputs(config, scenario)
-            keys[position] = store.key(inputs[position])
-            if config.resume:
-                record = store.load(keys[position])
-                if record is not None:
-                    loaded[position] = record
-    pending = [
-        position for position in range(len(scenarios)) if position not in loaded
-    ]
-
-    start = _time.perf_counter()
-    models = {
-        position: _abstract_scenario(config, scenarios[position])
-        for position in pending
-    }
-    timings["abstract"] = _time.perf_counter() - start
-    TRACER.complete(
-        "sweep.abstract", start, timings["abstract"], "sweep", scenarios=len(pending)
-    )
-
-    if config.lint and pending:
-        from ..lint import LintError, lint_model
-
-        lint_report = None
-        for position in pending:
-            scenario_report = lint_model(
-                models[position],
-                file=f"<scenario:{scenarios[position].describe()}>",
-            )
-            if lint_report is None:
-                lint_report = scenario_report
-            else:
-                lint_report.extend(scenario_report)
-        if lint_report is not None and not lint_report.ok:
-            raise LintError(lint_report)
-
-    try:
-        steps = resolve_steps(config.duration, config.timestep)
-    except SimulationError as exc:
-        raise SweepError(str(exc)) from exc
-
-    if pending:
-        output_names = list(models[pending[0]].outputs)
-    else:
-        first = loaded[min(loaded)]
-        output_names = list(first.get("order") or first["outputs"])
-    outputs = {name: np.zeros((len(scenarios), steps)) for name in output_names}
-    signatures: set = set()
-
-    start = _time.perf_counter()
-    if config.backend in ("numpy", "native"):
-        groups: dict[tuple, list[int]] = {}
-        for position in pending:
-            groups.setdefault(structure_signature(models[position]), []).append(
-                position
-            )
-        for signature, positions in groups.items():
-            signatures.add(_signature_digest(signature))
-            matrices = _simulate_batch(
-                config,
-                [scenarios[i] for i in positions],
-                [models[i] for i in positions],
-                steps,
-            )
-            for name, matrix in matrices.items():
-                outputs[name][positions, :] = matrix
-            if progress is not None:
-                progress(len(positions))
-            if store is not None:
-                for row, position in enumerate(positions):
-                    _commit_scenario(
-                        store,
-                        keys[position],
-                        inputs[position],
-                        {name: matrices[name][row] for name in output_names},
-                        steps,
-                        signature,
-                    )
-    elif config.backend == "python":
-        for position in pending:
-            signature = structure_signature(models[position])
-            signatures.add(_signature_digest(signature))
-            rows = _simulate_scalar(
-                config, scenarios[position], models[position], steps
-            )
-            for name, row in rows.items():
-                outputs[name][position, :] = row
-            if progress is not None:
-                progress(1)
-            if store is not None:
-                _commit_scenario(
-                    store,
-                    keys[position],
-                    inputs[position],
-                    {name: rows[name][0] for name in output_names},
-                    steps,
-                    signature,
-                )
-    else:
-        raise SweepError(
-            f"unknown sweep backend {config.backend!r}; "
-            "use 'numpy', 'native' or 'python'"
-        )
-    timings["simulate"] = _time.perf_counter() - start
-    TRACER.complete(
-        "sweep.simulate", start, timings["simulate"], "sweep", scenarios=len(pending)
-    )
-
-    for position, record in loaded.items():
-        rows = _load_scenario_rows(record, output_names, steps, store, keys[position])
-        for name, row in rows.items():
-            outputs[name][position, :] = row
-        signature_digest = record.get("signature")
-        if signature_digest:
-            signatures.add(signature_digest)
-    if progress is not None and loaded:
-        progress(len(loaded))
-
-    telemetry = None
-    if telemetry_mark is not None:
-        TRACER.add("sweep.scenarios", float(len(pending)))
-        TRACER.add("sweep.loaded", float(len(loaded)))
-        telemetry = TRACER.collect(telemetry_mark)
-        if config.trace and not tracer_was_enabled:
-            disable_tracing()
-
-    return {
-        "outputs": outputs,
-        "steps": steps,
-        "signatures": signatures,
-        "timings": timings,
-        "cache": cache_info(),
-        "executed": [position in models for position in range(len(scenarios))],
-        "telemetry": telemetry,
-    }
 
 
 class SweepRunner:
@@ -544,26 +333,13 @@ class SweepRunner:
         (cffi-compiled C batch kernels; needs cffi and a C compiler) or
         ``"python"`` (per-scenario scalar classes — the equivalence
         baseline).
-    workers:
-        Number of ``multiprocessing`` workers; ``1`` runs serially.  When a
-        pool cannot be used (unpicklable payload, missing ``fork``), the
-        runner falls back to the serial path and records it in the result.
-    store:
-        A campaign directory (or :class:`~repro.store.RunStore`) into which
-        every completed scenario's waveforms are committed atomically as
-        they are produced.
-    resume:
-        Load scenarios already committed to ``store`` instead of
-        re-executing them (requires ``store``).  Resumed ensembles are
-        bit-identical to uninterrupted runs.
-    trace:
-        Collect per-worker telemetry and attach a merged
-        :class:`~repro.obs.telemetry.TelemetryReport` to the result.
-        ``None`` (the default) follows the process-wide tracing switch
-        (:func:`repro.obs.enable_tracing`).
-    progress:
-        Render a live throttled progress line on stderr.  ``None`` (the
-        default) shows it only when stderr is a terminal.
+    workers / store / resume / trace / progress:
+        How the scenarios execute, see
+        :class:`~repro.sweep.executor.Executor`: a scenario's waveforms are
+        committed to ``store`` as its batch group finishes, and a resumed
+        ensemble is bit-identical to an uninterrupted one.  A traced run
+        attaches the merged :class:`~repro.obs.telemetry.TelemetryReport`
+        to the result.
     lint:
         Strict static-analysis gate: run the codegen artifact verifier
         (:mod:`repro.lint`) over every abstracted model before simulating
@@ -588,8 +364,6 @@ class SweepRunner:
     ) -> None:
         if timestep <= 0.0:
             raise ValueError("timestep must be positive")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         if backend not in ("numpy", "native", "python"):
             raise SweepError(
                 f"unknown sweep backend {backend!r}; "
@@ -599,21 +373,23 @@ class SweepRunner:
             missing = toolchain_error()
             if missing:
                 raise SweepError(f"native sweep backend unavailable: {missing}")
-        self.factory = factory
-        self.outputs = [outputs] if isinstance(outputs, str) else list(outputs)
-        self.stimuli = dict(stimuli)
-        self.timestep = float(timestep)
-        self.method = method
-        self.backend = backend
-        self.workers = int(workers)
-        self.name = name
-        self.store = as_run_store(store)
-        if resume and self.store is None:
-            raise SweepError("resume=True needs a store to resume from")
-        self.resume = bool(resume)
-        self.trace = trace
-        self.progress = progress
-        self.lint = bool(lint)
+        self.task = SweepTask(
+            factory=factory,
+            outputs=[outputs] if isinstance(outputs, str) else list(outputs),
+            timestep=float(timestep),
+            stimuli=dict(stimuli),
+            method=method,
+            backend=backend,
+            name=name,
+            lint=bool(lint),
+        )
+        self.executor = Executor(
+            workers=int(workers),
+            store=store,
+            resume=bool(resume),
+            trace=trace,
+            progress=progress,
+        )
 
     # -- execution ---------------------------------------------------------------------
     def run(
@@ -632,97 +408,37 @@ class SweepRunner:
         scenarios = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
         if not scenarios:
             raise SweepError("the sweep spec expanded to zero scenarios")
-
-        config = SweepConfig(
-            factory=self.factory,
-            outputs=self.outputs,
-            timestep=self.timestep,
-            duration=float(duration),
-            stimuli=self.stimuli,
-            method=self.method,
-            backend=self.backend,
-            name=self.name,
-            store_dir=str(self.store.directory) if self.store is not None else None,
-            resume=self.resume,
-            trace=tracing_enabled() if self.trace is None else bool(self.trace),
-            lint=self.lint,
-        )
-
-        reporter = ProgressReporter(
-            len(scenarios), "sweep scenarios", enabled=self.progress
-        )
-        advance = reporter.advance if reporter.active else None
-
-        wall_start = _time.perf_counter()
-        workers_used = 1
+        task = replace(self.task, duration=float(duration))
         try:
-            if self.workers > 1 and len(scenarios) > 1:
-                chunk_results = self._run_parallel(config, scenarios, advance)
-                if chunk_results is not None:
-                    workers_used = min(self.workers, len(scenarios))
-                else:
-                    chunk_results = [_run_chunk((config, scenarios), progress=advance)]
-            else:
-                chunk_results = [_run_chunk((config, scenarios), progress=advance)]
-        finally:
-            reporter.finish()
+            steps = task.steps
+        except SimulationError as exc:
+            raise SweepError(str(exc)) from exc
 
-        outputs: dict[str, np.ndarray] = {}
-        for name in chunk_results[0]["outputs"]:
-            outputs[name] = np.concatenate(
-                [chunk["outputs"][name] for chunk in chunk_results], axis=0
-            )
-        steps = chunk_results[0]["steps"]
-        times = np.arange(1, steps + 1) * self.timestep
-        timings = {
-            phase: sum(chunk["timings"][phase] for chunk in chunk_results)
-            for phase in chunk_results[0]["timings"]
-        }
-        timings["wall"] = _time.perf_counter() - wall_start
-
-        signatures: set = set()
-        executed: list[bool] = []
-        for chunk in chunk_results:
-            signatures |= chunk["signatures"]
-            executed.extend(chunk["executed"])
+        outcome = self.executor.run(task, scenarios)
+        rows = outcome.results
+        order = rows[0]["order"]
         result = SweepResult(
             scenarios=scenarios,
-            times=times,
-            outputs=outputs,
-            backend=self.backend,
-            workers=workers_used,
-            timings=timings,
-            structure_groups=len(signatures),
-            executed=np.asarray(executed, dtype=bool),
+            times=np.arange(1, steps + 1) * task.timestep,
+            outputs={
+                name: np.stack([row["outputs"][name] for row in rows])
+                for name in order
+            },
+            backend=task.backend,
+            workers=outcome.workers,
+            timings=dict(outcome.timings, wall=outcome.wall),
+            structure_groups=len({row["signature"] for row in rows}),
+            executed=outcome.executed,
+            telemetry=outcome.telemetry,
         )
-        if config.trace:
-            result.telemetry = TelemetryReport.merge(
-                "sweep",
-                [chunk.get("telemetry") for chunk in chunk_results],
-                scenarios=len(scenarios),
-                executed=result.executed_count,
-                wall=timings["wall"],
-                workers=workers_used,
-            )
         if reference:
-            result.nrmse = self._reference_nrmse(config, result)
+            result.nrmse = self._reference_nrmse(task, result)
         return result
-
-    def _run_parallel(
-        self,
-        config: SweepConfig,
-        scenarios: list[Scenario],
-        progress: "Callable[[int], None] | None" = None,
-    ) -> "list[dict] | None":
-        """Chunk across a process pool; ``None`` means fall back to serial."""
-        return map_scenario_chunks(
-            _run_chunk, config, scenarios, self.workers, progress
-        )
 
     # -- reference comparison ----------------------------------------------------------
     def _reference_nrmse(
         self,
-        config: SweepConfig,
+        config: SweepTask,
         result: SweepResult,
     ) -> dict[str, np.ndarray]:
         """Per-scenario NRMSE of every output versus the reference AMS engine."""

@@ -45,6 +45,7 @@ from repro.sweep import (
     MonteCarloSpec,
     PlatformScenarioSpec,
     PlatformSweepRunner,
+    SweepError,
     SweepRunner,
 )
 from repro.vp import averaging_monitor_source, threshold_monitor_source
@@ -407,6 +408,63 @@ class TestCounterReconciliation:
         assert counters_from_trace(payload)["platform.runs"] == result.n_runs
         # the parent process tracer saw nothing: collection is worker-local
         assert TRACER.events == [] and TRACER.counters == {}
+
+
+    def test_resumed_multiprocess_platform_sweep_reconciles_loads(self, tmp_path):
+        spec = sixteen_scenario_spec()
+        scenarios = spec.expand()
+        platform_runner(store=tmp_path).run(
+            scenarios[: len(scenarios) // 2], SHORT, firmwares=spec.firmware_table()
+        )
+        result = platform_runner(
+            store=tmp_path, resume=True, workers=2, trace=True, progress=False
+        ).run(spec, SHORT)
+        counters = result.telemetry.counters
+        assert result.executed_count == len(scenarios) - len(scenarios) // 2
+        assert counters["platform.runs"] == result.executed_count
+        assert counters["platform.loaded"] == len(scenarios) - result.executed_count
+
+    def test_resumed_analog_sweep_reconciles_loads(self, tmp_path):
+        spec = MonteCarloSpec(
+            nominal={"order": 1, "resistance": 5e3, "capacitance": 25e-9},
+            tolerances={"resistance": 0.05},
+            samples=6,
+            seed=3,
+        )
+        scenarios = spec.expand()
+
+        def runner(**kwargs):
+            return SweepRunner(
+                build_rc_filter, "out", stimuli=WAVE, timestep=TIMESTEP,
+                store=tmp_path, **kwargs,
+            )
+
+        runner().run(scenarios[:3], SHORT)
+        result = runner(resume=True, workers=2, trace=True).run(spec, SHORT)
+        counters = result.telemetry.counters
+        assert result.executed_count == 3
+        assert counters["sweep.scenarios"] == result.executed_count
+        assert counters["sweep.loaded"] == len(scenarios) - result.executed_count
+
+
+class TestTracerRestoredOnFailure:
+    """A traced run that raises must leave the process-wide switch off."""
+
+    @pytest.mark.parametrize(
+        "stimuli, duration",
+        [
+            ({"nope": SquareWave(period=8e-6)}, SHORT),  # missing stimulus
+            (WAVE, 2.5 * TIMESTEP),  # not a multiple of the timestep
+        ],
+        ids=["missing-stimulus", "bad-duration"],
+    )
+    def test_failing_sweep_disables_the_tracer(self, stimuli, duration):
+        runner = SweepRunner(
+            build_rc_filter, "out", stimuli, timestep=TIMESTEP, trace=True
+        )
+        with pytest.raises(SweepError):
+            runner.run(GridSpec(axes={}, base={"order": 1}), duration)
+        assert not tracing_enabled()
 
 
 class TestProgressReporter:

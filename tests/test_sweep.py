@@ -45,6 +45,11 @@ def rc_runner(**kwargs) -> SweepRunner:
     )
 
 
+def unreachable_factory(**params):
+    """Module-level (hence picklable) factory no test may reach."""
+    raise RuntimeError("the circuit factory was called")
+
+
 def mc_spec(samples: int = 8, seed: int = 7) -> MonteCarloSpec:
     return MonteCarloSpec(
         nominal=RC_NOMINAL,
@@ -454,3 +459,11 @@ class TestRunnerValidation:
     def test_bad_duration_rejected(self):
         with pytest.raises(SweepError):
             rc_runner().run(mc_spec(samples=1), TIMESTEP / 100.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_duration_is_rejected_before_any_scenario_is_built(self, workers):
+        runner = SweepRunner(
+            unreachable_factory, "out", stimuli=WAVE, timestep=TIMESTEP, workers=workers
+        )
+        with pytest.raises(SweepError, match="integer multiple"):
+            runner.run(mc_spec(samples=2), 2.5 * TIMESTEP)
