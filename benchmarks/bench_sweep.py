@@ -83,6 +83,15 @@ def bench(samples: int, duration: float, workers: int) -> int:
         float(np.max(np.abs(trace.waveform("V(out)") - result.ensemble("V(out)")[k])))
         for k, trace in enumerate(serial_traces)
     )
+    # The stacked kernel performs the scalar step's operations in the same
+    # order, so every lane must match bit for bit (signed zeros included).
+    identical = all(
+        np.array_equal(
+            np.ascontiguousarray(trace.waveform("V(out)"), dtype=np.float64).view(np.uint64),
+            np.ascontiguousarray(result.ensemble("V(out)")[k], dtype=np.float64).view(np.uint64),
+        )
+        for k, trace in enumerate(serial_traces)
+    )
     speedup = serial_time / batch_time
 
     print(f"  serial   ({samples} x run_python_model): {serial_time:8.3f} s")
@@ -94,8 +103,10 @@ def bench(samples: int, duration: float, workers: int) -> int:
           f"{result.timings['abstract']:8.3f} s")
     print(f"  max |batch - serial| deviation        : {deviation:.2e}")
 
-    if deviation > 1e-12:
-        print("FAIL: batch deviates from the serial baseline beyond 1e-12")
+    print(f"  batch bit-identical to serial         : {identical}")
+
+    if not identical:
+        print("FAIL: batch is not bit-identical to the serial baseline")
         return 1
     target = 10.0
     verdict = "meets" if speedup >= target else "BELOW"

@@ -16,12 +16,17 @@ Rules:
 * ``ir-nonfinite-constant`` / ``ir-nonpositive-timestep`` — NaN/Inf
   literals baked into the model, or a timestep the integrators cannot use;
 * ``py-syntax-error`` / ``py-nonfinite-literal`` /
-  ``py-state-write-before-read`` — generated python/numpy sources;
+  ``py-state-write-before-read`` — generated python/numpy sources (state
+  slots are ``self._prev_*`` attributes, or the ``_prev_*`` row views of a
+  stacked NumPy kernel, written through ``out=`` or a subscript store);
 * ``c-undefined-identifier`` / ``c-nonfinite-literal`` — the generated C
   translation unit (identifier closure against its own declarations and
   the ``math.h`` surface);
 * ``artifact-shape-mismatch`` / ``artifact-nonfinite-data`` — per-scenario
-  parameter and state arrays of a batch artifact.
+  parameter and state arrays of a batch artifact, and the row-block tables
+  of a stacked NumPy kernel (block bounds, coefficient counts, masks,
+  parameter references and the finiteness of every coefficient, reported
+  at the table line of its atom).
 """
 
 from __future__ import annotations
@@ -163,39 +168,99 @@ def lint_python_source(code: str, file: str = "<generated.py>") -> LintReport:
                     column=node.col_offset + 1,
                 )
 
-    # State contract: inside every method, each ``self._prev_*`` slot must be
-    # read before it is overwritten — writing first would silently discard
-    # the previous-timestep value the discretisation depends on.
+    # State contract: inside every method, each state slot must be read
+    # before it is overwritten — writing first would silently discard the
+    # previous-timestep value the discretisation depends on.
+    aliases = _ufunc_aliases(tree)
     for function in python_ast.walk(tree):
         if not isinstance(function, (python_ast.FunctionDef, python_ast.AsyncFunctionDef)):
             continue
         if function.name in ("__init__", "reset"):
             continue  # initializers legitimately seed the state slots
-        accesses: list[tuple[int, int, str, bool]] = []
-        for node in python_ast.walk(function):
-            if (
-                isinstance(node, python_ast.Attribute)
-                and isinstance(node.value, python_ast.Name)
-                and node.value.id == "self"
-                and node.attr.startswith("_prev_")
-            ):
-                is_store = isinstance(node.ctx, python_ast.Store)
-                accesses.append((node.lineno, node.col_offset, node.attr, is_store))
         first: dict[str, bool] = {}
-        for lineno, col, attr, is_store in sorted(accesses):
-            if attr not in first:
-                first[attr] = is_store
+        for lineno, col, slot, is_store in sorted(_state_accesses(function, aliases)):
+            if slot not in first:
+                first[slot] = is_store
                 if is_store:
                     report.add(
                         "py-state-write-before-read",
                         SEVERITY_ERROR,
-                        f"state slot {attr!r} is written before it is read in "
+                        f"state slot {slot!r} is written before it is read in "
                         f"{function.name}(); the previous-timestep value is lost",
                         file=file,
                         line=lineno,
                         column=col + 1,
                     )
     return report
+
+
+def _ufunc_aliases(tree: python_ast.Module) -> dict[str, int]:
+    """Module-level ``name = np.<ufunc>`` bindings, with the ufunc's input count."""
+    aliases = {}
+    for node in tree.body:
+        if (
+            isinstance(node, python_ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], python_ast.Name)
+        ):
+            inputs = _ufunc_inputs(node.value, {})
+            if inputs is not None:
+                aliases[node.targets[0].id] = inputs
+    return aliases
+
+
+def _ufunc_inputs(func: python_ast.expr, aliases: dict[str, int]) -> "int | None":
+    """Input count of the NumPy ufunc ``func`` names, or ``None``."""
+    import numpy as np
+
+    if isinstance(func, python_ast.Name):
+        return aliases.get(func.id)
+    if (
+        isinstance(func, python_ast.Attribute)
+        and isinstance(func.value, python_ast.Name)
+        and func.value.id in ("np", "numpy")
+    ):
+        ufunc = getattr(np, func.attr, None)
+        if isinstance(ufunc, np.ufunc):
+            return ufunc.nin
+    return None
+
+
+def _state_accesses(function, aliases: dict[str, int]):
+    """``(line, column, slot, is_write)`` for every state access in ``function``.
+
+    Slots are ``self._prev_*`` attributes and ``_prev_*`` local views; a view
+    is written when it is a ufunc's output (``out=`` or a positional output
+    argument), a subscript store target or an augmented assignment target.
+    Binding the view name itself is not an access.
+    """
+    written: set[int] = set()
+    for node in python_ast.walk(function):
+        if isinstance(node, python_ast.Call):
+            inputs = _ufunc_inputs(node.func, aliases)
+            outputs = node.args[inputs:] if inputs is not None else []
+            outputs += [keyword.value for keyword in node.keywords if keyword.arg == "out"]
+            written.update(id(output) for output in outputs)
+        elif isinstance(node, python_ast.Subscript) and isinstance(
+            node.ctx, (python_ast.Store, python_ast.Del)
+        ):
+            written.add(id(node.value))
+        elif isinstance(node, python_ast.AugAssign):
+            written.add(id(node.target))
+    for node in python_ast.walk(function):
+        if (
+            isinstance(node, python_ast.Attribute)
+            and isinstance(node.value, python_ast.Name)
+            and node.value.id == "self"
+            and node.attr.startswith("_prev_")
+        ):
+            is_store = isinstance(node.ctx, python_ast.Store)
+            yield node.lineno, node.col_offset, node.attr, is_store
+        elif isinstance(node, python_ast.Name) and node.id.startswith("_prev_"):
+            if id(node) in written:
+                yield node.lineno, node.col_offset, node.id, True
+            elif isinstance(node.ctx, python_ast.Load):
+                yield node.lineno, node.col_offset, node.id, False
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +342,8 @@ def lint_artifact(artifact, file: str = "<artifact>") -> LintReport:
 
     Works for both the numpy :class:`BatchArtifact` and the native
     :class:`NativeArtifact` (same field contract); the python source of the
-    artifact is linted too.
+    artifact (the NumPy fallback of a native one) is linted too, including
+    the row-block tables of a stacked kernel.
     """
     import numpy as np
 
@@ -315,9 +381,11 @@ def lint_artifact(artifact, file: str = "<artifact>") -> LintReport:
             "initial-state array contains non-finite values",
             file=file,
         )
-    code = getattr(artifact, "code", None)
-    if isinstance(code, str):
-        report.extend(lint_python_source(code, file=file))
+    source = _python_source(artifact)
+    if source is not None:
+        report.extend(lint_python_source(source, file=file))
+        if parameters.ndim == 2:
+            report.extend(_lint_stacked_tables(source, parameters, file=file))
     if parameters.ndim == 2 and parameters.shape[1] == n_scenarios:
         n_parameters = getattr(artifact, "n_parameters", None)
         if n_parameters is not None and parameters.shape[0] != n_parameters:
@@ -328,4 +396,147 @@ def lint_artifact(artifact, file: str = "<artifact>") -> LintReport:
                 f"artifact declares {n_parameters} parameters",
                 file=file,
             )
+    return report
+
+
+def _python_source(artifact) -> "str | None":
+    code = getattr(artifact, "code", None)
+    if isinstance(code, str):
+        return code
+    if getattr(code, "language", None) == "NumPy":
+        return code.source
+    fallback = getattr(artifact, "fallback_code", None)
+    return getattr(fallback, "source", None)
+
+
+#: Class-level tables of a stacked NumPy kernel (see ``numpy_backend``).
+_STACKED_TABLES = ("STATES", "ROWS", "ATOMS", "BLOCKS", "STATE_ROWS", "COEFFICIENTS")
+
+
+def _table_value(node: python_ast.expr):
+    """A table literal; ``float('nan')``-style calls evaluate to their float."""
+    if (
+        isinstance(node, python_ast.Call)
+        and isinstance(node.func, python_ast.Name)
+        and node.func.id == "float"
+        and len(node.args) == 1
+        and isinstance(node.args[0], python_ast.Constant)
+    ):
+        return float(node.args[0].value)
+    return python_ast.literal_eval(node)
+
+
+def _lint_stacked_tables(code: str, parameters, file: str = "<generated.py>") -> LintReport:
+    """Shape and finiteness checks over a stacked kernel's row-block tables.
+
+    Each atom's ``BLOCKS`` entry must be a tight row range inside ``ROWS``
+    with one ``COEFFICIENTS`` entry per block row (``None`` marks a masked
+    hole); parameter references must name rows of ``parameters`` and every
+    coefficient a lane can see must be finite.  Diagnostics point at the
+    table line of the offending atom.  Sources without the tables (the
+    per-assignment kernels) yield an empty report.
+    """
+    import numpy as np
+
+    report = LintReport()
+    try:
+        tree = python_ast.parse(code)
+    except SyntaxError:
+        return report  # reported by lint_python_source
+    nodes: dict[str, python_ast.expr] = {}
+    for node in python_ast.walk(tree):
+        if isinstance(node, python_ast.ClassDef):
+            for statement in node.body:
+                if (
+                    isinstance(statement, python_ast.Assign)
+                    and len(statement.targets) == 1
+                    and isinstance(statement.targets[0], python_ast.Name)
+                    and statement.targets[0].id in _STACKED_TABLES
+                ):
+                    nodes[statement.targets[0].id] = statement.value
+    if "COEFFICIENTS" not in nodes:
+        return report
+
+    def problem(rule: str, message: str, node: python_ast.AST) -> None:
+        report.add(
+            rule,
+            SEVERITY_ERROR,
+            message,
+            file=file,
+            line=node.lineno,
+            column=node.col_offset + 1,
+        )
+
+    missing = [name for name in _STACKED_TABLES if name not in nodes]
+    blocks_node = nodes["COEFFICIENTS"]
+    if missing or not isinstance(blocks_node, python_ast.Tuple):
+        problem(
+            "artifact-shape-mismatch",
+            f"stacked kernel tables are incomplete (missing {', '.join(missing) or 'none'})",
+            blocks_node,
+        )
+        return report
+    rows = _table_value(nodes["ROWS"])
+    atoms = _table_value(nodes["ATOMS"])
+    blocks = _table_value(nodes["BLOCKS"])
+    state_rows = _table_value(nodes["STATE_ROWS"])
+    states = _table_value(nodes["STATES"])
+    if not len(atoms) == len(blocks) == len(blocks_node.elts):
+        problem(
+            "artifact-shape-mismatch",
+            f"stacked kernel has {len(atoms)} atoms, {len(blocks)} row blocks and "
+            f"{len(blocks_node.elts)} coefficient blocks",
+            blocks_node,
+        )
+        return report
+    if len(state_rows) != len(states) or any(
+        not 0 <= row < len(rows) for row in state_rows
+    ):
+        problem(
+            "artifact-shape-mismatch",
+            f"STATE_ROWS {state_rows!r} does not map the {len(states)} states "
+            f"onto the {len(rows)} accumulator rows",
+            nodes["STATE_ROWS"],
+        )
+    parameters = np.asarray(parameters, dtype=float)
+    for atom, (first, end), node in zip(atoms, blocks, blocks_node.elts):
+        entries = _table_value(node)
+        if not (0 <= first < end <= len(rows)) or len(entries) != end - first:
+            problem(
+                "artifact-shape-mismatch",
+                f"atom {atom!r} has {len(entries)} coefficients for the row "
+                f"block [{first}, {end}) of {len(rows)} rows",
+                node,
+            )
+            continue
+        if entries[0] is None or entries[-1] is None:
+            problem(
+                "artifact-shape-mismatch",
+                f"the mask of atom {atom!r} excludes an edge of its row block "
+                f"[{first}, {end}); the block is not tight",
+                node,
+            )
+        for row, entry in zip(rows[first:end], entries):
+            if isinstance(entry, str):
+                index = int(entry.lstrip("-p"))
+                if index >= parameters.shape[0]:
+                    problem(
+                        "artifact-shape-mismatch",
+                        f"coefficient {entry!r} of atom {atom!r} in row {row!r} "
+                        f"references parameter {index} of {parameters.shape[0]}",
+                        node,
+                    )
+                    continue
+                values = parameters[index]
+            elif entry is None:
+                continue
+            else:
+                values = np.asarray([entry], dtype=float)
+            if not np.isfinite(values).all():
+                problem(
+                    "artifact-nonfinite-data",
+                    f"coefficient {entry!r} of atom {atom!r} in row {row!r} is "
+                    "non-finite",
+                    node,
+                )
     return report

@@ -7,6 +7,9 @@ sweep and fault subsystems expect — ``factory(**params) -> Circuit`` where
 the keyword arguments override the module's ``parameter real`` defaults.
 That makes the whole zoo consumable by ``SweepSpec`` grids and
 ``FaultCampaignSpec`` runs with no glue code.
+
+A factory reads and parses only its own ``<name>.va`` file on each call, so
+an edited netlist takes effect on the next scenario.
 """
 
 from __future__ import annotations
@@ -63,7 +66,17 @@ def zoo_entries(directory: "str | Path | None" = None) -> list[ZooEntry]:
 
 
 def load_entry(name: str, directory: "str | Path | None" = None) -> ZooEntry:
-    """Load the zoo entry whose module is called ``name``."""
+    """Load the zoo entry whose module is called ``name``.
+
+    Only ``<name>.va`` is read when it holds that module (the corpus names
+    its files after their modules); otherwise every netlist is scanned.
+    """
+    root = Path(directory) if directory is not None else corpus_dir()
+    path = root / f"{name}.va"
+    if path.is_file():
+        entry = _load_path(path)
+        if entry.name == name:
+            return entry
     for entry in zoo_entries(directory):
         if entry.name == name:
             return entry

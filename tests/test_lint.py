@@ -21,7 +21,7 @@ from textwrap import dedent
 import numpy as np
 import pytest
 
-from repro.circuits import paper_benchmarks, rc_benchmark
+from repro.circuits import build_rc_filter, paper_benchmarks, rc_benchmark
 from repro.core import AbstractionFlow
 from repro.core.codegen.native_backend import NativeGenerator
 from repro.core.codegen.numpy_backend import NumpyGenerator
@@ -494,6 +494,53 @@ class TestArtifactRules:
         source_report = lint_python_source(artifact.code.source)
         assert source_report.ok, to_text(source_report)
         assert lint_artifact(artifact).ok
+
+    @staticmethod
+    def stacked_artifact():
+        """A two-lane RC3 batch: every coefficient is a lifted parameter."""
+        flow = AbstractionFlow(1e-6)
+        models = [
+            flow.abstract(build_rc_filter(3, resistance=r), ["out"], name="rc").model
+            for r in (4e3, 6e3)
+        ]
+        artifact = NumpyGenerator().generate_batch(models)
+        assert artifact.code.metadata["kernel"] == "stacked"
+        assert lint_artifact(artifact).ok, to_text(lint_artifact(artifact))
+        return artifact
+
+    def test_stacked_kernel_state_view_written_before_read(self):
+        artifact = self.stacked_artifact()
+        lines = artifact.code.source.splitlines()
+        read = "_mul(_c1, _prev_v_n1, _t1)"
+        index = next(i for i, line in enumerate(lines) if read in line)
+        lines[index] = lines[index].replace(read, "_mul(_c1, vin, _prev_v_n1)")
+        artifact.code.source = "\n".join(lines)
+        diagnostic = single(lint_artifact(artifact), "py-state-write-before-read")
+        assert diagnostic.line == index + 1
+        assert "_prev_v_n1" in diagnostic.message
+
+    def test_stacked_kernel_nan_coefficient_names_its_table_line(self):
+        artifact = self.stacked_artifact()
+        lines = artifact.code.source.splitlines()
+        start = lines.index("    COEFFICIENTS = (")
+        # the third atom's block: prev(V(n2)), a lifted coefficient per row
+        entry = lines[start + 3]
+        parameter = int(entry.split("'")[1].lstrip("-p"))
+        artifact.parameters[parameter, 1] = float("nan")
+        found = [
+            d for d in lint_artifact(artifact).by_rule("artifact-nonfinite-data") if d.line
+        ]
+        assert found and found[0].line == start + 4
+        assert "('prev', 'V(n2)')" in found[0].message
+
+    def test_stacked_kernel_coefficient_count_must_match_its_block(self):
+        artifact = self.stacked_artifact()
+        lines = artifact.code.source.splitlines()
+        start = lines.index("    COEFFICIENTS = (")
+        lines[start + 1] = lines[start + 1].split(",")[0] + ",),"  # drop rows
+        artifact.code.source = "\n".join(lines)
+        diagnostic = single(lint_artifact(artifact), "artifact-shape-mismatch")
+        assert diagnostic.line == start + 2
 
     def test_emitted_c_source_lints_clean(self):
         flow = AbstractionFlow(1e-6)

@@ -9,6 +9,8 @@ nothing about the results.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,21 @@ from repro.core.codegen import (
     NumpyGenerator,
     cache_info,
     clear_cache,
+    compile_model,
     structure_signature,
 )
 from repro.core.codegen.numpy_backend import PARAM_PREFIX
+from repro.core.signalflow import Assignment, SignalFlowModel
 from repro.errors import CodeGenerationError
+from repro.expr.ast import (
+    BinaryOp,
+    Call,
+    Conditional,
+    Constant,
+    Previous,
+    Variable,
+    transform,
+)
 from repro.sim import SquareWave, run_python_model
 from repro.sweep import (
     CompositeSpec,
@@ -352,6 +365,279 @@ class TestRandomizedBackendParity:
 
         assert draw(2016) == draw(2016)
         assert draw(2016) != draw(2017)
+
+
+def bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def drive(index: int) -> float:
+    """A square wave with exact zeros, shared by the scalar and batch runs."""
+    return 1.0 if (index // 40) % 2 else 0.0
+
+
+def scalar_outputs(model, steps: int) -> np.ndarray:
+    """``(steps, n_outputs)`` from the generated scalar ``step`` (the reference)."""
+    instance = compile_model(model)()
+    rows = []
+    for index in range(steps):
+        inputs = [drive(index)] * len(model.inputs)
+        result = instance.step(*inputs, (index + 1) * TIMESTEP)
+        rows.append(result if isinstance(result, tuple) else (result,))
+    return np.array(rows, dtype=float)
+
+
+def batch_outputs(instance, steps: int) -> np.ndarray:
+    """``(steps, n_outputs, n_scenarios)`` from ``step_batch``."""
+    rows = []
+    for index in range(steps):
+        inputs = [drive(index)] * len(instance.INPUTS)
+        result = instance.step_batch(*inputs, (index + 1) * TIMESTEP)
+        outputs = result if isinstance(result, tuple) else (result,)
+        # a per-assignment kernel fed only scalars returns scalars
+        rows.append([np.broadcast_to(value, (instance.n_scenarios,)) for value in outputs])
+    return np.array(rows, dtype=float)
+
+
+def monte_carlo_models(factory, nominal, samples: int, seed: int = 11, outputs="out"):
+    flow = AbstractionFlow(TIMESTEP)
+    scenarios = MonteCarloSpec(
+        nominal=nominal,
+        tolerances=dict.fromkeys(nominal, 0.05),
+        samples=samples,
+        seed=seed,
+    ).expand()
+    return [
+        flow.abstract(factory(**scenario.params), outputs, name="mc").model
+        for scenario in scenarios
+    ]
+
+
+def perturbed(model, rng):
+    """``model`` with every constant scaled by a ±5 % draw (same structure)."""
+
+    def scale(node):
+        if isinstance(node, Constant):
+            return Constant(node.value * float(rng.uniform(0.95, 1.05)))
+        return node
+
+    return dataclasses.replace(
+        model,
+        assignments=[
+            Assignment(a.target, transform(a.expression, scale)) for a in model.assignments
+        ],
+    )
+
+
+class TestStackedKernelBitExact:
+    """The stacked affine kernel is bit-identical to the scalar ``step``:
+    every lane performs the same IEEE operations in the same order."""
+
+    STEPS = 240
+
+    def assert_bit_exact(self, models, steps: int = STEPS):
+        artifact = NumpyGenerator().generate_batch(models)
+        batch = batch_outputs(artifact.instantiate(), steps)
+        for lane, model in enumerate(models):
+            reference = scalar_outputs(model, steps)
+            assert np.array_equal(bits(batch[:, :, lane]), bits(reference)), (
+                f"lane {lane} of {len(models)} differs from the scalar step"
+            )
+        return artifact
+
+    @pytest.mark.parametrize("order", [1, 2, 8, 20, 32, 64])
+    def test_rc_ladders_with_monte_carlo_draws(self, order):
+        nominal = {"resistance": 5e3, "capacitance": 25e-9}
+        models = monte_carlo_models(
+            lambda **params: build_rc_filter(order, **params), nominal, samples=3
+        )
+        artifact = self.assert_bit_exact(models)
+        assert artifact.code.metadata["kernel"] == "stacked"
+        assert "_prev_" not in artifact.code.source.split("def step_batch")[0]
+
+    def test_every_zoo_netlist(self):
+        from repro.zoo import zoo_entries, zoo_factory
+
+        for entry in zoo_entries():
+            models = monte_carlo_models(
+                zoo_factory(entry.name), entry.parameters, samples=3, outputs=entry.output
+            )
+            artifact = self.assert_bit_exact(models)
+            assert artifact.code.metadata["kernel"] == "stacked", entry.name
+
+    @pytest.mark.parametrize("lanes", [1, 2, 16, 256])
+    def test_batch_sizes(self, lanes):
+        flow = AbstractionFlow(TIMESTEP)
+        model = flow.abstract(build_rc_filter(8), "out", name="rc8").model
+        rng = np.random.default_rng(lanes)
+        self.assert_bit_exact([perturbed(model, rng) for _ in range(lanes)], steps=120)
+
+    def test_signed_zero_of_a_negative_coefficient_times_zero(self):
+        def model(gain: float) -> SignalFlowModel:
+            return SignalFlowModel(
+                name="negzero",
+                inputs=["u"],
+                outputs=["y", "x"],
+                assignments=[
+                    Assignment("y", BinaryOp("*", Constant(gain), Variable("u"))),
+                    Assignment(
+                        "x",
+                        BinaryOp(
+                            "+",
+                            BinaryOp("*", Constant(gain), Variable("u")),
+                            BinaryOp("*", Constant(0.5), Previous("x")),
+                        ),
+                    ),
+                ],
+                state_variables=["x"],
+                initial_state={"x": -0.0},
+                timestep=TIMESTEP,
+            )
+
+        models = [model(-2.0), model(-3.0)]
+        artifact = NumpyGenerator().generate_batch(models)
+        assert artifact.code.metadata["kernel"] == "stacked"
+        y, x = artifact.instantiate().step_batch(0.0, 0.0)
+        scalar = [compile_model(m)().step(0.0, 0.0) for m in models]
+        assert np.signbit(y).tolist() == [np.signbit(s[0]) for s in scalar] == [True, True]
+        assert np.signbit(x).tolist() == [np.signbit(s[1]) for s in scalar] == [True, True]
+
+    def test_rows_missing_an_atom_are_masked_out_of_its_block(self):
+        """``u`` feeds rows 0 and 2 only; adding ``0 * u`` to row 1 would
+        turn its ``-0.0`` into ``+0.0``, so the hole must be masked."""
+
+        def decay(target: str, gain: "float | None", pole: float) -> Assignment:
+            memory = BinaryOp("*", Constant(pole), Previous(target))
+            if gain is None:
+                return Assignment(target, memory)
+            return Assignment(
+                target, BinaryOp("+", BinaryOp("*", Constant(gain), Variable("u")), memory)
+            )
+
+        def model(pole: float) -> SignalFlowModel:
+            return SignalFlowModel(
+                name="holes",
+                inputs=["u"],
+                outputs=["x0", "x1", "x2"],
+                assignments=[
+                    decay("x0", 0.5, pole),
+                    decay("x1", None, pole),
+                    decay("x2", 0.25, pole),
+                ],
+                state_variables=["x0", "x1", "x2"],
+                initial_state={"x1": -0.0},
+                timestep=TIMESTEP,
+            )
+
+        artifact = self.assert_bit_exact([model(0.5), model(0.75)])
+        assert "where=" in artifact.code.source
+        x1 = batch_outputs(artifact.instantiate(), 50)[:, 1, :]
+        assert np.signbit(x1).all()
+
+    def test_non_affine_rows_keep_per_assignment_emission(self):
+        def model(limit: float, pole: float) -> SignalFlowModel:
+            return SignalFlowModel(
+                name="clamped",
+                inputs=["u"],
+                outputs=["y", "z"],
+                assignments=[
+                    Assignment(
+                        "x",
+                        BinaryOp(
+                            "+",
+                            BinaryOp("*", Constant(1.0 - pole), Variable("u")),
+                            BinaryOp("*", Constant(pole), Previous("x")),
+                        ),
+                    ),
+                    Assignment("y", Call("min", [Variable("x"), Constant(limit)])),
+                    Assignment(
+                        "z",
+                        Conditional(
+                            BinaryOp(">", Previous("z"), Constant(limit)),
+                            BinaryOp("*", Variable("u"), Variable("x")),
+                            BinaryOp("+", Variable("y"), Previous("z")),
+                        ),
+                    ),
+                ],
+                state_variables=["x", "z"],
+                timestep=TIMESTEP,
+            )
+
+        mixed = self.assert_bit_exact([model(0.4, 0.9), model(0.6, 0.8), model(0.5, 0.7)])
+        source = mixed.code.source
+        assert mixed.code.metadata["kernel"] == "stacked"
+        assert "np.minimum(x, _p" in source and "np.where(" in source
+
+        clamp = SignalFlowModel(
+            name="clamp",
+            inputs=["u"],
+            outputs=["y"],
+            assignments=[Assignment("y", Call("min", [Variable("u"), Constant(0.5)]))],
+            timestep=TIMESTEP,
+        )
+        plain = self.assert_bit_exact([clamp, clamp])
+        assert plain.code.metadata["kernel"] == "per-assignment"
+
+    def test_reset_restores_the_initial_state(self):
+        flow = AbstractionFlow(TIMESTEP)
+        models = [
+            flow.abstract(build_rc_filter(3, resistance=r), ["out", "V(n1)"], name="rc").model
+            for r in (4e3, 6e3)
+        ]
+        for index, model in enumerate(models):
+            model.initial_state = {"V(n1)": 0.25 * (index + 1), "V(out)": -0.5}
+        instance = NumpyGenerator().generate_batch(models).instantiate()
+        first = batch_outputs(instance, 60)
+        instance.reset()
+        again = batch_outputs(instance, 60)
+        assert np.array_equal(bits(first), bits(again))
+        for lane, model in enumerate(models):
+            assert np.array_equal(bits(first[:, :, lane]), bits(scalar_outputs(model, 60)))
+
+    def test_returned_arrays_are_not_overwritten_by_later_steps(self):
+        flow = AbstractionFlow(TIMESTEP)
+        models = [
+            flow.abstract(build_rc_filter(2, resistance=r), ["out", "V(n1)"], name="rc").model
+            for r in (4e3, 6e3)
+        ]
+        instance = NumpyGenerator().generate_batch(models).instantiate()
+        returned = [instance.step_batch(1.0, 0.0) for _ in range(5)]
+        snapshots = [tuple(array.copy() for array in step) for step in returned]
+        for _ in range(5):
+            instance.step_batch(0.5, 0.0)
+        for step, snapshot in zip(returned, snapshots):
+            for array, copy in zip(step, snapshot):
+                assert np.array_equal(bits(array), bits(copy))
+
+    def test_an_output_aliasing_a_stacked_row_is_not_overwritten(self):
+        def model(pole: float) -> SignalFlowModel:
+            return SignalFlowModel(
+                name="alias",
+                inputs=["u"],
+                outputs=["y"],
+                assignments=[
+                    Assignment(
+                        "x",
+                        BinaryOp(
+                            "+",
+                            BinaryOp("*", Constant(1.0 - pole), Variable("u")),
+                            BinaryOp("*", Constant(pole), Previous("x")),
+                        ),
+                    ),
+                    Assignment("y", Variable("x")),
+                ],
+                state_variables=["x"],
+                timestep=TIMESTEP,
+            )
+
+        artifact = self.assert_bit_exact([model(0.5), model(0.75)])
+        instance = artifact.instantiate()
+        first = instance.step_batch(1.0, 0.0)
+        snapshot = first.copy()
+        for _ in range(3):
+            instance.step_batch(0.0, 0.0)
+        assert np.array_equal(bits(first), bits(snapshot))
+
 
 
 class TestCompileCache:

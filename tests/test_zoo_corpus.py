@@ -54,6 +54,45 @@ class TestCatalog:
         factory = pickle.loads(pickle.dumps(zoo_factory("gm_stage")))
         assert isinstance(factory(), Circuit)
 
+    def test_factory_calls_parse_only_their_own_netlist(self, monkeypatch):
+        """16 scenario builds parse ``rc_ladder3.va`` 16 times, not the
+        whole 10-file corpus each time (160 parses)."""
+        from repro.zoo import catalog
+
+        parsed = []
+
+        def counting_parse(source):
+            parsed.append(source)
+            return parse_module(source)
+
+        factory = zoo_factory("rc_ladder3")
+        monkeypatch.setattr(catalog, "parse_module", counting_parse)
+        for _ in range(16):
+            factory(R=4.7e3)
+        assert len(parsed) == 16
+        assert set(parsed) == {load_entry("rc_ladder3").source}
+
+    def test_edited_netlist_is_seen_by_the_next_call(self, tmp_path):
+        source = load_entry("divider").source
+        (tmp_path / "divider.va").write_text(source)
+        factory = zoo_factory("divider", tmp_path)
+        assert factory().branch("rb").component.resistance == 2.2e3
+        (tmp_path / "divider.va").write_text(
+            source.replace("RBOT = 2.2k", "RBOT = 3.3k")
+        )
+        assert load_entry("divider", tmp_path).parameters["RBOT"] == 3.3e3
+        assert factory().branch("rb").component.resistance == 3.3e3
+        assert pickle.loads(pickle.dumps(factory)) == factory
+
+    def test_file_not_named_after_its_module_is_found_by_scanning(self, tmp_path):
+        divider = load_entry("divider").source
+        (tmp_path / "divider.va").write_text(load_entry("gm_stage").source)
+        (tmp_path / "resistive.va").write_text(divider)
+        entry = load_entry("divider", tmp_path)
+        assert entry.name == "divider"
+        assert entry.path.name == "resistive.va"
+        assert load_entry("gm_stage", tmp_path).path.name == "divider.va"
+
     @pytest.mark.parametrize("name", NAMES)
     def test_round_trip_parse_and_build(self, name):
         entry = load_entry(name)
