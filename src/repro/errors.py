@@ -33,26 +33,26 @@ class UnsolvableEquationError(ExpressionError):
 
 
 class VamsError(ReproError):
-    """Base class for Verilog-AMS frontend errors."""
+    """Base class for Verilog-AMS frontend errors.
 
-
-class VamsLexerError(VamsError):
-    """The Verilog-AMS lexer met a character sequence it cannot tokenise."""
-
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
-
-
-class VamsParseError(VamsError):
-    """The Verilog-AMS parser met an unexpected token."""
+    ``line``/``column`` are the 1-based source position of the offending
+    construct, appended to the message; both are 0 when there is none (an
+    unknown parameter override, a module-level rejection).
+    """
 
     def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
         location = f" (line {line}, column {column})" if line else ""
         super().__init__(f"{message}{location}")
         self.line = line
         self.column = column
+
+
+class VamsLexerError(VamsError):
+    """The Verilog-AMS lexer met a character sequence it cannot tokenise."""
+
+
+class VamsParseError(VamsError):
+    """The Verilog-AMS parser met an unexpected token."""
 
 
 class NetworkError(ReproError):

@@ -13,60 +13,28 @@ descriptions *before* abstraction and simulation pay for them:
   magnitudes that force degenerate timesteps;
 * ``dead-arm`` / ``unfoldable-condition`` — conditional arms that can never
   execute (literal-constant conditions) and conservative conditionals that
-  do not fold at elaboration time (reusing the elaboration-time folding of
-  :meth:`NetlistBuilder.active_contributions`);
+  do not fold at elaboration time;
 * ``unused-parameter`` / ``unused-net`` / ``unused-branch`` /
   ``unused-variable`` — declarations nothing reads;
 * ``mixed-description`` — the :mod:`repro.vams.classify` MIXED advisory.
 
-Every diagnostic carries the 1-based line/column recorded by the parser.
+Modules are not re-analysed here: the component, value and conditional
+rules report the elements and findings of the netlist builder's own
+elaboration pass (:meth:`repro.vams.netlist.NetlistBuilder.elaborate`), so
+what the linter accepts is what the builder builds.  The topology rules run
+on :class:`~repro.network.graph.CircuitGraph`.  Every diagnostic carries
+the 1-based line/column recorded by the parser.
 """
 
 from __future__ import annotations
 
-from ..errors import EvaluationError, VamsError
-from ..expr.ast import (
-    Access,
-    BinaryOp,
-    Constant,
-    Derivative,
-    Expr,
-    Integral,
-    Variable,
-    substitute,
-)
-from ..expr.evaluate import evaluate
-from ..expr.simplify import constant_value, simplify
+from ..errors import VamsError
+from ..expr.ast import Access, Expr, Variable
 from ..network.circuit import Circuit
-from ..network.components import (
-    VCCS,
-    VCVS,
-    Capacitor,
-    CurrentSource,
-    Inductor,
-    Resistor,
-    VoltageSource,
-)
-from ..vams.ast import (
-    FLOW,
-    INPUT,
-    POTENTIAL,
-    AnalogStatement,
-    Block,
-    Contribution,
-    IfStatement,
-    VamsModule,
-)
-from ..vams.classify import MIXED, classify_module
-from ..vams.netlist import (
-    NetlistBuilder,
-    _controlled_source,
-    _conductance_factor,
-    _derivative_factor,
-    _integral_factor,
-    _is_input_reference,
-    _linear_factor,
-)
+from ..network.graph import CircuitGraph
+from ..vams.ast import Contribution, IfStatement, VamsModule
+from ..vams.classify import MIXED
+from ..vams.netlist import Element, Finding, NetlistBuilder, nonphysical_finding
 from ..vams.parser import parse_source
 from .diagnostics import (
     SEVERITY_ERROR,
@@ -91,21 +59,6 @@ _VOLTAGE_DEFINED = ("vsource", "vcvs")
 _CURRENT_DEFINED = ("isource", "vccs")
 
 
-class _Edge:
-    """One conservative component (or unrecognised contribution) as a graph edge."""
-
-    __slots__ = ("positive", "negative", "kind", "value", "line", "column", "label")
-
-    def __init__(self, positive, negative, kind, value, line, column, label):
-        self.positive = positive
-        self.negative = negative
-        self.kind = kind  # resistor/capacitor/inductor/vsource/isource/vcvs/vccs/edge
-        self.value = value
-        self.line = line
-        self.column = column
-        self.label = label
-
-
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
@@ -120,8 +73,8 @@ def lint_source(source: str, file: str = "<memory>") -> LintReport:
             SEVERITY_ERROR,
             str(error),
             file=file,
-            line=getattr(error, "line", 0),
-            column=getattr(error, "column", 0),
+            line=error.line,
+            column=error.column,
         )
         return report
     for module in modules:
@@ -133,7 +86,8 @@ def lint_module(module: VamsModule, file: str = "<memory>") -> LintReport:
     """Lint a parsed module: declarations, conditionals and (when the module
     is conservative) the component graph."""
     report = LintReport()
-    classification = classify_module(module)
+    elaboration = NetlistBuilder(module).elaborate()
+    classification = elaboration.classification
     if classification.category == MIXED:
         statement = (
             classification.signal_flow_statements[0]
@@ -151,12 +105,17 @@ def lint_module(module: VamsModule, file: str = "<memory>") -> LintReport:
             hint="split the signal-flow relation into its own module",
         )
     _lint_unused(module, report, file)
-    active = _collect_active(
-        module, module.analog, report, file,
-        conservative=classification.is_conservative,
-    )
+    for finding in elaboration.findings:
+        _report(report, finding, file)
     if classification.is_conservative:
-        _lint_topology(module, active, report, file)
+        _lint_branches(
+            elaboration.inputs + elaboration.elements,
+            ground=elaboration.ground,
+            exempt=frozenset(module.port_names()),
+            positions=module.declaration_positions,
+            report=report,
+            file=file,
+        )
     return report
 
 
@@ -172,40 +131,19 @@ def lint_circuit(circuit: Circuit, file: str = "<circuit>") -> LintReport:
 
     This is the entry point of the fault-campaign strict gate: an injected
     fault that leaves the circuit topologically singular is reported here
-    instead of crashing inside the solver.
+    instead of crashing inside the solver.  Fault models mutate values via
+    ``setattr``, so the non-physical check runs again on the built values.
     """
-    edges = []
-    sensed: set[str] = set()
-    for branch in circuit:
-        component = branch.component
-        kind, value = "edge", None
-        if isinstance(component, Resistor):
-            kind, value = "resistor", component.resistance
-        elif isinstance(component, Capacitor):
-            kind, value = "capacitor", component.capacitance
-        elif isinstance(component, Inductor):
-            kind, value = "inductor", component.inductance
-        elif isinstance(component, VoltageSource):
-            kind = "vsource"
-        elif isinstance(component, CurrentSource):
-            kind = "isource"
-        elif isinstance(component, (VCVS, VCCS)):
-            kind = "vcvs" if isinstance(component, VCVS) else "vccs"
-            for control in (
-                getattr(component, "control_positive", None),
-                getattr(component, "control_negative", None),
-            ):
-                if control:
-                    sensed.add(control)
-        edges.append(
-            _Edge(branch.positive, branch.negative, kind, value, 0, 0, branch.name)
-        )
+    elements = [Element.of_branch(branch) for branch in circuit]
     report = LintReport()
-    _lint_values(edges, report, file)
-    _lint_graph(
-        edges,
+    for element in elements:
+        finding = nonphysical_finding(element)
+        if finding is not None:
+            _report(report, finding, file)
+    _lint_branches(
+        elements,
         ground=circuit.ground,
-        exempt=frozenset(sensed),
+        exempt=frozenset(),
         positions={},
         report=report,
         file=file,
@@ -213,80 +151,16 @@ def lint_circuit(circuit: Circuit, file: str = "<circuit>") -> LintReport:
     return report
 
 
-# ---------------------------------------------------------------------------
-# Conditionals: elaboration-time folding, dead arms
-# ---------------------------------------------------------------------------
-def _collect_active(
-    module: VamsModule,
-    statements: "list[AnalogStatement]",
-    report: LintReport,
-    file: str,
-    conservative: bool,
-) -> "list[Contribution]":
-    """Collect the elaboration-time active contributions, flagging dead arms.
-
-    Mirrors :meth:`NetlistBuilder.active_contributions`, but tolerantly: a
-    condition that does not fold is reported as a diagnostic (for
-    conservative modules, where state-dependent topology is an error)
-    rather than raised.
-    """
-    parameters = module.parameter_values()
-    active: list[Contribution] = []
-
-    def walk(statements: "list[AnalogStatement]") -> None:
-        for statement in statements:
-            if isinstance(statement, Block):
-                walk(statement.statements)
-            elif isinstance(statement, IfStatement):
-                walk_if(statement)
-            elif isinstance(statement, Contribution):
-                active.append(statement)
-
-    def walk_if(statement: IfStatement) -> None:
-        condition = statement.condition
-        try:
-            literal = evaluate(condition, {})
-        except EvaluationError:
-            literal = None
-        if literal is not None:
-            taken, dead = (
-                ("then", "else") if literal != 0.0 else ("else", "then")
-            )
-            report.add(
-                "dead-arm",
-                SEVERITY_WARNING,
-                f"condition {condition} is always "
-                f"{'true' if literal != 0.0 else 'false'}; "
-                f"the {dead} arm never executes",
-                file=file,
-                line=statement.line,
-                column=statement.column,
-                hint="remove the conditional or make the condition test a parameter",
-            )
-            walk(statement.then_branch if literal != 0.0 else statement.else_branch)
-            return
-        try:
-            value = evaluate(condition, parameters)
-        except EvaluationError as error:
-            if conservative:
-                report.add(
-                    "unfoldable-condition",
-                    SEVERITY_ERROR,
-                    f"the conditional {condition} does not fold to a constant "
-                    f"under the module parameters ({error})",
-                    file=file,
-                    line=statement.line,
-                    column=statement.column,
-                    hint="conservative conditionals may only test parameters",
-                )
-            # Analyse both arms: we cannot tell which one is active.
-            walk(statement.then_branch)
-            walk(statement.else_branch)
-            return
-        walk(statement.then_branch if value != 0.0 else statement.else_branch)
-
-    walk(statements)
-    return active
+def _report(report: LintReport, finding: Finding, file: str) -> None:
+    report.add(
+        finding.rule,
+        finding.severity,
+        finding.message,
+        file=file,
+        line=finding.line,
+        column=finding.column,
+        hint=finding.hint,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,316 +254,73 @@ def _lint_unused(module: VamsModule, report: LintReport, file: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Component recognition (value rules) and graph construction
+# Value and topology rules over elaborated branches
 # ---------------------------------------------------------------------------
-def _zero_scale(expression: Expr) -> "str | None":
-    """Detect a component law collapsed by a zero factor.
-
-    Run *before* simplification (which would fold ``0 * I(br)`` into plain
-    ``0`` and lose the evidence).  Returns a description or ``None``.
-    """
-    for node in expression.walk():
-        if not isinstance(node, BinaryOp):
-            continue
-        if node.op == "/":
-            divisor = constant_value(simplify(node.rhs))
-            if divisor == 0.0:
-                return "division by zero (an infinite conductance/short)"
-        if node.op == "*":
-            for value_side, other in ((node.lhs, node.rhs), (node.rhs, node.lhs)):
-                if constant_value(simplify(value_side)) != 0.0:
-                    continue
-                if any(
-                    isinstance(inner, (Access, Derivative, Integral))
-                    for inner in other.walk()
-                ):
-                    return "a zero factor collapses the component law to a short"
-    return None
-
-
-def _recognise(
-    builder: NetlistBuilder, kind: str, branch, expression: Expr
-) -> "tuple[str | None, float | None]":
-    """Classify a substituted contribution like :meth:`NetlistBuilder._match_component`
-    — but *without* constructing the component, so non-physical values can be
-    reported instead of raising."""
-    own_current = f"I({branch.name})"
-    own_voltage = builder._potential_difference(branch.positive, branch.negative)
-
-    if kind == POTENTIAL:
-        factor = _linear_factor(expression, own_current)
-        if factor is not None:
-            return "resistor", factor
-        factor = _derivative_factor(expression, Variable(own_current))
-        if factor is not None:
-            return "inductor", factor
-        factor = _integral_factor(expression, Variable(own_current))
-        if factor is not None and factor != 0.0:
-            return "capacitor", 1.0 / factor
-        value = constant_value(expression)
-        if value is not None:
-            return "vsource", None
-        if _is_input_reference(expression, builder.module):
-            return "vsource", None
-        gain, _control = _controlled_source(expression)
-        if gain is not None:
-            return "vcvs", None
-        return None, None
-
-    if kind == FLOW:
-        factor = _derivative_factor(expression, own_voltage)
-        if factor is not None:
-            return "capacitor", factor
-        factor = _integral_factor(expression, own_voltage)
-        if factor is not None and factor != 0.0:
-            return "inductor", 1.0 / factor
-        conductance = _conductance_factor(expression, own_voltage)
-        if conductance is not None:
-            return "resistor", 1.0 / conductance
-        value = constant_value(expression)
-        if value is not None:
-            return "isource", None
-        if _is_input_reference(expression, builder.module):
-            return "isource", None
-        gain, _control = _controlled_source(expression)
-        if gain is not None:
-            return "vccs", None
-        return None, None
-    return None, None
-
-
-def _lint_topology(
-    module: VamsModule,
-    active: "list[Contribution]",
-    report: LintReport,
-    file: str,
-) -> None:
-    try:
-        builder = NetlistBuilder(module)
-    except VamsError:  # pragma: no cover - overrides=None cannot fail today
-        return
-    edges: list[_Edge] = []
-
-    # Implicit stimulus sources on input ports (NetlistBuilder adds the same).
-    for port in module.ports:
-        if port.direction != INPUT or port.name == builder.ground:
-            continue
-        edges.append(
-            _Edge(
-                port.name,
-                builder.ground,
-                "vsource",
-                None,
-                port.line,
-                port.column,
-                f"Vsrc_{port.name}",
-            )
-        )
-
-    parameter_constants = {
-        name: Constant(value) for name, value in builder.parameters.items()
-    }
-    resolved: list = []
-    for contribution in active:
-        try:
-            branch = builder._resolve_target(contribution.target)
-        except VamsError as error:
-            report.add(
-                "unrecognised-contribution",
-                SEVERITY_ERROR,
-                str(error),
-                file=file,
-                line=contribution.line,
-                column=contribution.column,
-            )
-            continue
-        resolved.append((contribution, branch))
-
-    # Nets whose potential *another* branch senses (controlled-source inputs)
-    # are legitimate high-impedance probe points, not floating nodes.  Reads
-    # of a branch's own terminal voltage (``I(a,b) <+ V(a,b)/R``) do not
-    # count as sensing.
-    sensed: set[str] = set()
-    for contribution, branch in resolved:
-        own = {branch.positive, branch.negative, builder.ground}
-        for node in contribution.expression.walk():
-            if isinstance(node, Access) and node.kind == POTENTIAL:
-                nets: set[str] = set()
-                for argument in _access_nets(node.name):
-                    declared = module.branch_by_name(argument)
-                    if declared is not None:
-                        nets.update((declared.positive, declared.negative))
-                    else:
-                        nets.add(argument)
-                if not nets <= own:
-                    sensed.update(nets)
-
-    for contribution, branch in resolved:
-        edge = _Edge(
-            branch.positive,
-            branch.negative,
-            "edge",
-            None,
-            contribution.line,
-            contribution.column,
-            branch.name,
-        )
-        edges.append(edge)
-        raw = substitute(contribution.expression, parameter_constants)
-        zero = _zero_scale(raw)
-        if zero is not None:
-            report.add(
-                "zero-value",
-                SEVERITY_ERROR,
-                f"the contribution on branch {branch.name!r} degenerates: {zero}",
-                file=file,
-                line=contribution.line,
-                column=contribution.column,
-                hint="a zero-valued component makes the MNA system singular",
-            )
-            continue
-        try:
-            expression = builder._substitute_names(contribution.expression, branch)
-            kind, value = _recognise(builder, contribution.target.kind, branch, expression)
-        except VamsError as error:
-            report.add(
-                "unrecognised-contribution",
-                SEVERITY_ERROR,
-                str(error),
-                file=file,
-                line=contribution.line,
-                column=contribution.column,
-            )
-            continue
-        if kind is None:
-            report.add(
-                "unrecognised-contribution",
-                SEVERITY_ERROR,
-                f"cannot recognise the contribution on branch {branch.name!r} "
-                "as a network component",
-                file=file,
-                line=contribution.line,
-                column=contribution.column,
-                hint="supported laws: R, C, L (incl. idt forms), V/I sources, VCVS, VCCS",
-            )
-            continue
-        edge.kind = kind
-        edge.value = value
-
-    _lint_values(edges, report, file)
-    _lint_graph(
-        edges,
-        ground=builder.ground,
-        exempt=frozenset(module.port_names()) | frozenset(sensed),
-        positions=module.declaration_positions,
-        report=report,
-        file=file,
-    )
-
-
-def _lint_values(edges: "list[_Edge]", report: LintReport, file: str) -> None:
-    for edge in edges:
-        if edge.kind not in MAGNITUDE_BANDS or edge.value is None:
-            continue
-        if edge.value <= 0.0:
-            report.add(
-                "nonphysical-value",
-                SEVERITY_ERROR,
-                f"{edge.kind} {edge.label!r} has non-positive value {edge.value:g}",
-                file=file,
-                line=edge.line,
-                column=edge.column,
-                hint="R, C and L must be strictly positive",
-            )
-            continue
-        low, high = MAGNITUDE_BANDS[edge.kind]
-        if not (low <= edge.value <= high):
-            report.add(
-                "suspicious-magnitude",
-                SEVERITY_WARNING,
-                f"{edge.kind} {edge.label!r} has value {edge.value:g}, outside "
-                f"the plausible band [{low:g}, {high:g}]",
-                file=file,
-                line=edge.line,
-                column=edge.column,
-                hint="extreme values force degenerate timesteps; check the units",
-            )
-
-
-def _lint_graph(
-    edges: "list[_Edge]",
+def _lint_branches(
+    elements: "list[Element]",
     ground: str,
     exempt: "frozenset[str]",
     positions: "dict[str, tuple[int, int]]",
     report: LintReport,
     file: str,
 ) -> None:
-    """Topology rules over the component graph (shared by module and circuit lint)."""
-    if not edges:
+    """Magnitude and topology rules (shared by module and circuit lint).
+
+    Nets a controlled source senses are legitimate high-impedance probe
+    points, so they join ``exempt`` from the floating-node rule.
+    """
+    for element in elements:
+        if element.kind not in MAGNITUDE_BANDS or element.value <= 0.0:
+            continue
+        low, high = MAGNITUDE_BANDS[element.kind]
+        if not (low <= element.value <= high):
+            report.add(
+                "suspicious-magnitude",
+                SEVERITY_WARNING,
+                f"{element.kind} {element.name!r} has value {element.value:g}, "
+                f"outside the plausible band [{low:g}, {high:g}]",
+                file=file,
+                line=element.line,
+                column=element.column,
+                hint="extreme values force degenerate timesteps; check the units",
+            )
+    if not elements:
         return
+    exempt = exempt | {node for element in elements for node in element.control or ()}
+    graph = CircuitGraph.from_branches(elements, ground)
+    nodes = sorted(graph.nodes)
 
     def node_position(node: str) -> "tuple[int, int]":
         if node in positions:
             return positions[node]
-        for edge in edges:
-            if node in (edge.positive, edge.negative):
-                return edge.line, edge.column
-        return 0, 0
+        first = graph.incident_branches(node)[0]
+        return first.line, first.column
 
-    nodes: set[str] = {ground}
-    degree: dict[str, int] = {}
-    incident: dict[str, list[_Edge]] = {}
-    for edge in edges:
-        for node in (edge.positive, edge.negative):
-            nodes.add(node)
-            degree[node] = degree.get(node, 0) + 1
-            incident.setdefault(node, []).append(edge)
-
-    # floating-node: a non-ground, non-port node with a single terminal.
-    for node in sorted(nodes):
-        if node == ground or node in exempt:
-            continue
-        if degree.get(node, 0) == 1:
-            line, column = node_position(node)
-            report.add(
-                "floating-node",
-                SEVERITY_ERROR,
-                f"node {node!r} is floating: only one component terminal "
-                "touches it",
-                file=file,
-                line=line,
-                column=column,
-                hint="every internal node needs at least two connections",
-            )
-
-    # ground-reachability: BFS over the full component graph.
-    adjacency: dict[str, set[str]] = {}
-    for edge in edges:
-        adjacency.setdefault(edge.positive, set()).add(edge.negative)
-        adjacency.setdefault(edge.negative, set()).add(edge.positive)
-    reached = {ground}
-    frontier = [ground]
-    while frontier:
-        current = frontier.pop()
-        for neighbour in adjacency.get(current, ()):
-            if neighbour not in reached:
-                reached.add(neighbour)
-                frontier.append(neighbour)
-    for node in sorted(nodes - reached):
-        if degree.get(node, 0) == 0:
-            continue  # covered by unused-net
+    def add(rule: str, node: str, message: str, hint: str) -> None:
         line, column = node_position(node)
         report.add(
-            "ground-unreachable",
-            SEVERITY_ERROR,
-            f"node {node!r} has no path to ground {ground!r}",
-            file=file,
-            line=line,
-            column=column,
-            hint="the nodal equations of a disconnected island are singular",
+            rule, SEVERITY_ERROR, message, file=file, line=line, column=column, hint=hint
         )
 
-    # vsource-loop: union-find over voltage-defined edges.
+    # floating-node: a non-ground, non-port node with a single terminal.
+    for node in nodes:
+        if node != ground and node not in exempt and graph.degree(node) == 1:
+            add(
+                "floating-node",
+                node,
+                f"node {node!r} is floating: only one component terminal touches it",
+                "every internal node needs at least two connections",
+            )
+
+    for node in sorted(set(nodes) - graph.reachable_from(ground)):
+        add(
+            "ground-unreachable",
+            node,
+            f"node {node!r} has no path to ground {ground!r}",
+            "the nodal equations of a disconnected island are singular",
+        )
+
+    # vsource-loop: union-find over voltage-defined branches.
     parent: dict[str, str] = {}
 
     def find(node: str) -> str:
@@ -699,40 +330,33 @@ def _lint_graph(
             node = parent[node]
         return node
 
-    for edge in edges:
-        if edge.kind not in _VOLTAGE_DEFINED:
+    for element in elements:
+        if element.kind not in _VOLTAGE_DEFINED:
             continue
-        root_p, root_n = find(edge.positive), find(edge.negative)
+        root_p, root_n = find(element.positive), find(element.negative)
         if root_p == root_n:
             report.add(
                 "vsource-loop",
                 SEVERITY_ERROR,
-                f"voltage source {edge.label!r} closes a loop of "
+                f"voltage source {element.name!r} closes a loop of "
                 "voltage-defined branches",
                 file=file,
-                line=edge.line,
-                column=edge.column,
+                line=element.line,
+                column=element.column,
                 hint="a loop of voltage sources over-constrains the node voltages",
             )
             continue
         parent[root_p] = root_n
 
     # isource-cutset: a node whose every incident branch forces its current.
-    for node in sorted(nodes):
-        if node == ground:
-            continue
-        branches = incident.get(node, [])
-        if not branches:
-            continue
-        if all(edge.kind in _CURRENT_DEFINED for edge in branches):
-            line, column = node_position(node)
-            report.add(
+    for node in nodes:
+        if node != ground and all(
+            branch.kind in _CURRENT_DEFINED for branch in graph.incident_branches(node)
+        ):
+            add(
                 "isource-cutset",
-                SEVERITY_ERROR,
+                node,
                 f"every branch at node {node!r} is a current source; KCL "
                 "over-constrains the branch currents",
-                file=file,
-                line=line,
-                column=column,
-                hint="give the node a resistive or capacitive path",
+                "give the node a resistive or capacitive path",
             )

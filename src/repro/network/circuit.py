@@ -22,6 +22,7 @@ from .components import (
     Resistor,
     VoltageSource,
 )
+from .graph import CircuitGraph
 
 DEFAULT_GROUND = "gnd"
 
@@ -248,34 +249,16 @@ class Circuit:
         """
         if not self._branches:
             raise TopologyError(f"circuit {self.name!r} has no branches")
-        incident: dict[str, int] = {name: 0 for name in self._nodes}
-        for branch in self._branches.values():
-            incident[branch.positive] += 1
-            incident[branch.negative] += 1
-        if incident.get(self.ground, 0) == 0:
+        graph = CircuitGraph(self)
+        if graph.degree(self.ground) == 0:
             raise TopologyError(
                 f"circuit {self.name!r} has no branch connected to ground "
                 f"{self.ground!r}"
             )
-        for name, count in incident.items():
-            if count == 0 and name != self.ground:
+        for name in self._nodes:
+            if graph.degree(name) == 0 and name != self.ground:
                 raise TopologyError(f"node {name!r} has no incident branch")
-        self._check_connected()
-
-    def _check_connected(self) -> None:
-        adjacency: dict[str, set[str]] = {name: set() for name in self._nodes}
-        for branch in self._branches.values():
-            adjacency[branch.positive].add(branch.negative)
-            adjacency[branch.negative].add(branch.positive)
-        seen = {self.ground}
-        frontier = [self.ground]
-        while frontier:
-            current = frontier.pop()
-            for neighbour in adjacency[current]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        unreachable = set(self._nodes) - seen
+        unreachable = set(self._nodes) - graph.reachable_from(self.ground)
         if unreachable:
             raise TopologyError(
                 f"nodes {sorted(unreachable)} are not connected to ground in "

@@ -11,10 +11,13 @@ outputs of interest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import TopologyError
-from .circuit import Branch, Circuit
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .circuit import Branch, Circuit
 
 
 @dataclass(frozen=True)
@@ -38,18 +41,39 @@ class FundamentalLoop:
 
 
 class CircuitGraph:
-    """Undirected multigraph view of a :class:`~repro.network.circuit.Circuit`."""
+    """Undirected multigraph view of a :class:`~repro.network.circuit.Circuit`.
 
-    def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
-        self._adjacency: dict[str, list[Branch]] = {
-            name: [] for name in circuit.node_names()
-        }
-        for branch in circuit:
-            self._adjacency[branch.positive].append(branch)
-            self._adjacency[branch.negative].append(branch)
+    :meth:`from_branches` builds the same view over any objects with
+    ``name``/``positive``/``negative`` — such as the elements of a netlist
+    elaboration, whose values no circuit may accept — so circuit validation
+    and the netlist linter share one graph.
+    """
+
+    def __init__(self, circuit: "Circuit") -> None:
+        self._build(list(circuit), circuit.ground, circuit.node_names(), circuit.name)
+
+    @classmethod
+    def from_branches(cls, branches: Iterable, ground: str) -> "CircuitGraph":
+        """The graph of ``branches`` over their end nodes and ``ground``."""
+        graph = cls.__new__(cls)
+        graph._build(list(branches), ground, [ground], "")
+        return graph
+
+    def _build(self, branches: list, ground: str, nodes: "list[str]", name: str) -> None:
+        self.name = name
+        self.ground = ground
+        self.branches = branches
+        self._adjacency: dict[str, list[Branch]] = {node: [] for node in nodes}
+        for branch in branches:
+            self._adjacency.setdefault(branch.positive, []).append(branch)
+            self._adjacency.setdefault(branch.negative, []).append(branch)
 
     # -- basic queries -----------------------------------------------------------
+    @property
+    def nodes(self) -> "list[str]":
+        """Every node (including ground), in order of first appearance."""
+        return list(self._adjacency)
+
     @property
     def node_count(self) -> int:
         """Number of nodes ``|N|`` (including ground)."""
@@ -58,18 +82,18 @@ class CircuitGraph:
     @property
     def branch_count(self) -> int:
         """Number of branches ``|B|``."""
-        return len(self.circuit.branches)
+        return len(self.branches)
 
     def neighbours(self, node: str) -> list[str]:
         """Return the nodes adjacent to ``node``."""
-        return [branch.other_end(node) for branch in self._adjacency[node]]
+        return [_other_end(branch, node) for branch in self._adjacency[node]]
 
     def incident_branches(self, node: str) -> list[Branch]:
         """Return every branch incident to ``node``."""
         return list(self._adjacency[node])
 
     def degree(self, node: str) -> int:
-        """Return the number of branches incident to ``node``."""
+        """Return the number of branch terminals at ``node``."""
         return len(self._adjacency[node])
 
     # -- spanning tree and loops ---------------------------------------------------
@@ -83,7 +107,7 @@ class CircuitGraph:
         TopologyError
             If the graph is not connected.
         """
-        root = root or self.circuit.ground
+        root = root or self.ground
         if root not in self._adjacency:
             raise TopologyError(f"unknown root node {root!r}")
         parent: dict[str, Branch | None] = {root: None}
@@ -91,14 +115,14 @@ class CircuitGraph:
         while frontier:
             current = frontier.pop(0)
             for branch in self._adjacency[current]:
-                other = branch.other_end(current)
+                other = _other_end(branch, current)
                 if other not in parent:
                     parent[other] = branch
                     frontier.append(other)
         missing = set(self._adjacency) - set(parent)
         if missing:
             raise TopologyError(
-                f"graph of circuit {self.circuit.name!r} is not connected; "
+                f"graph of circuit {self.name!r} is not connected; "
                 f"unreachable nodes: {sorted(missing)}"
             )
         return parent
@@ -111,7 +135,7 @@ class CircuitGraph:
     def chords(self, root: str | None = None) -> list[Branch]:
         """Return the branches *not* in the spanning tree (the loop chords)."""
         tree = self.tree_branches(root)
-        return [branch for branch in self.circuit if branch.name not in tree]
+        return [branch for branch in self.branches if branch.name not in tree]
 
     def fundamental_loops(self, root: str | None = None) -> list[FundamentalLoop]:
         """Return one fundamental loop per chord of the spanning tree.
@@ -120,7 +144,7 @@ class CircuitGraph:
         with the KCL equations they complete the implicit equations the paper
         adds during enrichment.
         """
-        root = root or self.circuit.ground
+        root = root or self.ground
         parent = self.spanning_tree(root)
 
         def path_to_root(node: str) -> list[tuple[str, Branch]]:
@@ -129,7 +153,7 @@ class CircuitGraph:
             while parent[current] is not None:
                 branch = parent[current]
                 path.append((current, branch))
-                current = branch.other_end(current)
+                current = _other_end(branch, current)
             return path
 
         loops: list[FundamentalLoop] = []
@@ -168,13 +192,18 @@ class CircuitGraph:
         seen = {node}
         frontier = [node]
         while frontier:
-            current = frontier.pop()
-            for neighbour in self.neighbours(current):
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
+            for branch in self._adjacency[frontier.pop()]:
+                for neighbour in (branch.positive, branch.negative):
+                    if neighbour not in seen:
+                        seen.add(neighbour)
+                        frontier.append(neighbour)
         return seen
 
     def mesh_count(self) -> int:
         """Number of independent loops ``|B| - |N| + 1`` (for a connected graph)."""
         return self.branch_count - self.node_count + 1
+
+
+def _other_end(branch, node: str) -> str:
+    """The end of ``branch`` opposite ``node`` (``node`` itself for a self-loop)."""
+    return branch.negative if node == branch.positive else branch.positive

@@ -11,14 +11,24 @@ parsed contribution statements (with parameters substituted).
 Input ports of the module become independent voltage sources driven by
 external stimuli of the same name — the analog input signals ``U`` of the
 paper's problem statement.
+
+The retrieval is one positioned pass, :meth:`NetlistBuilder.elaborate`.  It
+never raises for a contribution: it yields one :class:`Element` per active
+contribution and records what it cannot map as :class:`Finding` objects at
+the statement's line and column.  :meth:`NetlistBuilder.build` turns the
+elements into components and raises the fatal findings as
+:class:`NetlistError`; the Layer-1 linter (:mod:`repro.lint.netlist_rules`)
+reports the same elements and findings, so build and lint agree by
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import EvaluationError, VamsError
 from ..expr.ast import (
+    Access,
     BinaryOp,
     Constant,
     Derivative,
@@ -32,18 +42,18 @@ from ..expr.ast import (
 from ..expr.equation import DIPOLE, Equation
 from ..expr.evaluate import evaluate
 from ..expr.simplify import constant_value, simplify
-from ..network.circuit import Circuit
+from ..network.circuit import Branch, Circuit
 from ..network.components import (
     VCCS,
     VCVS,
     Capacitor,
+    Component,
     CurrentSource,
     Inductor,
     Resistor,
     VoltageSource,
 )
 from .ast import (
-    FLOW,
     INPUT,
     POTENTIAL,
     AccessRef,
@@ -53,22 +63,154 @@ from .ast import (
     IfStatement,
     VamsModule,
 )
-from .classify import classify_module
+from .classify import Classification, classify_module
 
 DEFAULT_GROUND_NAMES = ("gnd", "ground", "vss", "0")
 
+#: Finding rules (they double as the Layer-1 lint rule names).
+DEAD_ARM = "dead-arm"
+UNFOLDABLE_CONDITION = "unfoldable-condition"
+UNRECOGNISED_CONTRIBUTION = "unrecognised-contribution"
+ZERO_VALUE = "zero-value"
+NONPHYSICAL_VALUE = "nonphysical-value"
+
+#: Findings :meth:`NetlistBuilder.build` raises.  ``dead-arm`` and
+#: ``zero-value`` are advisory: such a module still elaborates to a circuit
+#: (a zero-valued law becomes a zero source), and only the linter rejects it.
+BUILD_ERRORS = (UNFOLDABLE_CONDITION, UNRECOGNISED_CONTRIBUTION, NONPHYSICAL_VALUE)
+
+#: Component kind -> (component class, the field holding its value).
+COMPONENT_KINDS: "dict[str, tuple[type[Component], str]]" = {
+    "resistor": (Resistor, "resistance"),
+    "capacitor": (Capacitor, "capacitance"),
+    "inductor": (Inductor, "inductance"),
+    "vsource": (VoltageSource, "dc_value"),
+    "isource": (CurrentSource, "dc_value"),
+    "vcvs": (VCVS, "gain"),
+    "vccs": (VCCS, "transconductance"),
+}
+
+#: Kinds whose value must be strictly positive.
+PASSIVE_KINDS = ("resistor", "capacitor", "inductor")
+
+_SUPPORTED_LAWS = "supported laws: R, C, L (incl. idt forms), V/I sources, VCVS, VCCS"
+
 
 class NetlistError(VamsError):
-    """A contribution statement could not be mapped onto a network component."""
+    """A contribution statement could not be mapped onto a network component.
+
+    Carries the ``line``/``column`` of the statement it refuses (0 for
+    module-level rejections such as an unknown parameter override).
+    """
 
 
 @dataclass
-class ResolvedBranch:
-    """A contribution target resolved to a pair of nodes and a branch name."""
+class Finding:
+    """A positioned diagnosis recorded by the elaboration pass."""
+
+    rule: str
+    message: str
+    line: int = 0
+    column: int = 0
+    severity: str = "error"
+    hint: str = ""
+
+
+@dataclass
+class Element:
+    """One elaborated branch: an active contribution or an input-port drive.
+
+    ``kind`` is a key of :data:`COMPONENT_KINDS`, or ``None`` when the
+    contribution is outside the supported subset.  ``value`` is the R/C/L
+    value, the DC level of a source (0 for a stimulus-driven one) or the gain
+    of a controlled source.  ``control`` holds the sensed nodes of a
+    controlled source and ``signal`` the stimulus driving a source.
+    ``access``/``expression`` keep the contribution itself, with parameters
+    substituted and access names normalised (``expression`` is ``None`` when
+    the names could not be resolved).
+    """
 
     name: str
     positive: str
     negative: str
+    kind: "str | None" = None
+    value: "float | None" = None
+    control: "tuple[str, str] | None" = None
+    signal: "str | None" = None
+    line: int = 0
+    column: int = 0
+    access: str = POTENTIAL
+    expression: "Expr | None" = None
+
+    def component(self) -> Component:
+        """The network component this element stands for."""
+        component_type, value_field = COMPONENT_KINDS[self.kind]
+        arguments = {value_field: self.value}
+        if self.signal is not None:
+            arguments["input_signal"] = self.signal
+        if self.control is not None:
+            arguments["control_positive"], arguments["control_negative"] = self.control
+        return component_type(**arguments)
+
+    @classmethod
+    def of_branch(cls, branch: Branch) -> "Element":
+        """The element shape of a built circuit branch (no source position)."""
+        component = branch.component
+        element = cls(branch.name, branch.positive, branch.negative)
+        for kind, (component_type, value_field) in COMPONENT_KINDS.items():
+            if isinstance(component, component_type):
+                element.kind = kind
+                element.value = getattr(component, value_field)
+                break
+        element.signal = component.input_name()
+        if isinstance(component, (VCVS, VCCS)):
+            element.control = (component.control_positive, component.control_negative)
+        return element
+
+
+def nonphysical_finding(element: Element) -> "Finding | None":
+    """The ``nonphysical-value`` finding of an R/C/L with a non-positive value."""
+    if element.kind not in PASSIVE_KINDS or element.value > 0.0:
+        return None
+    return Finding(
+        NONPHYSICAL_VALUE,
+        f"{element.kind} {element.name!r} has non-positive value {element.value:g}",
+        element.line,
+        element.column,
+        hint="R, C and L must be strictly positive",
+    )
+
+
+@dataclass
+class Elaboration:
+    """The result of one elaboration pass over a module.
+
+    ``inputs`` are the stimulus sources on the input ports, ``elements`` one
+    entry per active contribution, in statement order.  A module that is not
+    conservative has no elements: only its conditionals are folded.
+    """
+
+    name: str
+    classification: Classification
+    ground: str
+    inputs: "list[Element]" = field(default_factory=list)
+    elements: "list[Element]" = field(default_factory=list)
+    findings: "list[Finding]" = field(default_factory=list)
+
+    def raise_errors(self) -> None:
+        """Raise what stops a build as a :class:`NetlistError`: a module that is
+        not conservative, else the first finding of :data:`BUILD_ERRORS`."""
+        if not self.classification.is_conservative:
+            raise NetlistError(
+                f"module {self.name!r} is a signal-flow description; "
+                "use repro.core.signalflow to convert it directly"
+            )
+        for finding in self.findings:
+            if finding.rule in BUILD_ERRORS:
+                hint = f"; {finding.hint}" if finding.hint else ""
+                raise NetlistError(
+                    f"{finding.message}{hint}", finding.line, finding.column
+                )
 
 
 def find_ground(module: VamsModule) -> str:
@@ -91,7 +233,7 @@ def find_ground(module: VamsModule) -> str:
 
 
 class NetlistBuilder:
-    """Builds a :class:`Circuit` from a conservative Verilog-AMS module."""
+    """Elaborates a Verilog-AMS module and builds its :class:`Circuit`."""
 
     def __init__(
         self, module: VamsModule, overrides: "dict[str, float] | None" = None
@@ -107,86 +249,178 @@ class NetlistBuilder:
                     f"{', '.join(sorted(unknown))}"
                 )
             self.parameters.update(overrides)
-        self.circuit = Circuit(module.name, ground=self.ground)
         self._anonymous_count = 0
 
     # -- public API ----------------------------------------------------------------
     def build(self, drive_inputs: bool = True) -> Circuit:
         """Build the circuit; optionally add stimulus sources on input ports."""
-        classification = classify_module(self.module)
-        if not classification.is_conservative:
-            raise NetlistError(
-                f"module {self.module.name!r} is a signal-flow description; "
-                "use repro.core.signalflow to convert it directly"
+        elaboration = self.elaborate()
+        elaboration.raise_errors()
+        circuit = Circuit(self.module.name, ground=self.ground)
+        branches = elaboration.inputs if drive_inputs else []
+        for element in branches + elaboration.elements:
+            circuit.add(
+                element.component(), element.positive, element.negative, name=element.name
             )
-        if drive_inputs:
-            self._add_input_sources()
-        for contribution in self.active_contributions():
-            self._add_component(contribution)
-        self.circuit.validate()
-        return self.circuit
+        circuit.validate()
+        return circuit
 
-    def active_contributions(self) -> list[Contribution]:
-        """Contribution statements with parameter-constant conditionals folded.
+    def elaborate(self) -> Elaboration:
+        """Fold conditionals and recognise every active contribution.
 
         ``if``/``else`` statements whose conditions only involve parameters
-        (and literals) select a single active arm at elaboration time —
-        exactly one topology is built per parameter point, so a conditional
-        gain stage contributes one component, not both alternatives.
-        Conditions that do not fold to a constant (they read ``V``/``I``
-        quantities or undeclared names) are rejected: a conservative network
-        has no state-dependent topology.
+        (and literals) select a single active arm — exactly one topology is
+        built per parameter point.  A condition that does not fold (it reads
+        ``V``/``I`` quantities or undeclared names) is an error in a
+        conservative module, which has no state-dependent topology; both of
+        its arms are then elaborated.  A literal condition is a ``dead-arm``.
         """
-        contributions: list[Contribution] = []
-        self._collect_active(self.module.analog, contributions)
-        return contributions
+        self._anonymous_count = 0
+        classification = classify_module(self.module)
+        elaboration = Elaboration(self.module.name, classification, self.ground)
+        active: list[Contribution] = []
+        self._collect_active(self.module.analog, active, elaboration)
+        if not classification.is_conservative:
+            return elaboration
+        elaboration.inputs = [
+            Element(
+                f"Vsrc_{port.name}",
+                port.name,
+                self.ground,
+                kind="vsource",
+                value=0.0,
+                signal=port.name,
+                line=port.line,
+                column=port.column,
+            )
+            for port in self.module.ports
+            if port.direction == INPUT and port.name != self.ground
+        ]
+        constants = {name: Constant(value) for name, value in self.parameters.items()}
+        for contribution in active:
+            element = self._elaborate(contribution, constants, elaboration.findings)
+            if element is not None:
+                elaboration.elements.append(element)
+        return elaboration
 
+    # -- conditionals ------------------------------------------------------------------
     def _collect_active(
-        self, statements: list[AnalogStatement], into: list[Contribution]
+        self,
+        statements: "list[AnalogStatement]",
+        into: "list[Contribution]",
+        elaboration: Elaboration,
     ) -> None:
         for statement in statements:
             if isinstance(statement, Block):
-                self._collect_active(statement.statements, into)
+                self._collect_active(statement.statements, into, elaboration)
             elif isinstance(statement, IfStatement):
-                arm = (
-                    statement.then_branch
-                    if self._fold_condition(statement.condition)
-                    else statement.else_branch
-                )
-                self._collect_active(arm, into)
+                for arm in self._active_arms(statement, elaboration):
+                    self._collect_active(arm, into, elaboration)
             elif isinstance(statement, Contribution):
                 into.append(statement)
 
-    def _fold_condition(self, condition: Expr) -> bool:
+    def _active_arms(
+        self, statement: IfStatement, elaboration: Elaboration
+    ) -> "list[list[AnalogStatement]]":
+        condition = statement.condition
         try:
-            value = evaluate(condition, self.parameters)
-        except EvaluationError as exc:
-            raise NetlistError(
-                f"the conditional {condition} of module {self.module.name!r} "
-                f"does not fold to a constant under its parameters ({exc}); "
-                "conservative conditionals may only test parameters"
-            ) from exc
-        return value != 0.0
+            literal = evaluate(condition, {})
+        except EvaluationError:
+            literal = None
+        if literal is not None:
+            elaboration.findings.append(
+                Finding(
+                    DEAD_ARM,
+                    f"condition {condition} is always "
+                    f"{'true' if literal != 0.0 else 'false'}; "
+                    f"the {'else' if literal != 0.0 else 'then'} arm never executes",
+                    statement.line,
+                    statement.column,
+                    severity="warning",
+                    hint="remove the conditional or make the condition test a parameter",
+                )
+            )
+            value = literal
+        else:
+            try:
+                value = evaluate(condition, self.parameters)
+            except EvaluationError as error:
+                if elaboration.classification.is_conservative:
+                    elaboration.findings.append(
+                        Finding(
+                            UNFOLDABLE_CONDITION,
+                            f"the conditional {condition} of module "
+                            f"{self.module.name!r} does not fold to a constant "
+                            f"under its parameters ({error})",
+                            statement.line,
+                            statement.column,
+                            hint="conservative conditionals may only test parameters",
+                        )
+                    )
+                return [statement.then_branch, statement.else_branch]
+        return [statement.then_branch if value != 0.0 else statement.else_branch]
 
-    # -- helpers --------------------------------------------------------------------
-    def _add_input_sources(self) -> None:
-        for port in self.module.ports:
-            if port.direction != INPUT:
-                continue
-            if port.name == self.ground:
-                continue
-            self.circuit.add_voltage_source(
-                port.name,
-                self.ground,
-                input_signal=port.name,
-                name=f"Vsrc_{port.name}",
+    # -- contributions ---------------------------------------------------------------
+    def _elaborate(
+        self,
+        contribution: Contribution,
+        constants: "dict[str, Expr]",
+        findings: "list[Finding]",
+    ) -> "Element | None":
+        """Resolve, normalise and recognise one contribution; never raises."""
+
+        def report(rule: str, message: str, hint: str = "") -> None:
+            findings.append(
+                Finding(rule, message, contribution.line, contribution.column, hint=hint)
             )
 
-    def _resolve_target(self, access: AccessRef) -> ResolvedBranch:
+        try:
+            name, positive, negative = self._resolve_target(contribution.target)
+        except NetlistError as error:
+            report(UNRECOGNISED_CONTRIBUTION, str(error))
+            return None
+        element = Element(
+            name,
+            positive,
+            negative,
+            line=contribution.line,
+            column=contribution.column,
+            access=contribution.target.kind,
+        )
+        expression = substitute(contribution.expression, constants)
+        # Before simplification, which would fold ``0 * I(br)`` into a plain
+        # zero and lose the evidence.
+        zero = _zero_scale(expression)
+        if zero is not None:
+            report(
+                ZERO_VALUE,
+                f"the contribution on branch {element.name!r} degenerates: {zero}",
+                hint="a zero-valued component makes the MNA system singular",
+            )
+        try:
+            element.expression = self._normalise(expression, element)
+        except NetlistError as error:
+            report(UNRECOGNISED_CONTRIBUTION, str(error))
+            return element
+        self._recognise(element)
+        if element.kind is None:
+            law = "potential" if element.access == POTENTIAL else "flow"
+            report(
+                UNRECOGNISED_CONTRIBUTION,
+                f"cannot recognise the {law} contribution on branch "
+                f"{element.name!r}: {element.expression}",
+                hint=_SUPPORTED_LAWS,
+            )
+        elif (finding := nonphysical_finding(element)) is not None:
+            findings.append(finding)
+        return element
+
+    def _resolve_target(self, access: AccessRef) -> "tuple[str, str, str]":
+        """The ``(name, positive, negative)`` of a contribution target."""
         if access.branch is not None:
             declared = self.module.branch_by_name(access.branch)
             if declared is not None:
-                return ResolvedBranch(declared.name, declared.positive, declared.negative)
+                return declared.name, declared.positive, declared.negative
         positive = access.positive
         negative = access.negative
         if positive is None:
@@ -194,33 +428,22 @@ class NetlistBuilder:
         if negative is None:
             negative = self.ground
         self._anonymous_count += 1
-        name = f"b{self._anonymous_count}_{positive}_{negative}"
-        return ResolvedBranch(name, positive, negative)
+        return f"b{self._anonymous_count}_{positive}_{negative}", positive, negative
 
-    def _substitute_names(self, expression: Expr, branch: ResolvedBranch) -> Expr:
-        """Substitute parameters and normalise access-function variable names."""
-        mapping = {name: Constant(value) for name, value in self.parameters.items()}
-        expression = substitute(expression, mapping)
+    def _normalise(self, expression: Expr, element: Element) -> Expr:
+        """Rewrite access-function names over node potentials and branch flows."""
 
         def visit(node: Expr) -> Expr:
-            if isinstance(node, Variable):
-                return self._normalise_variable(node, branch)
+            if isinstance(node, Variable) and node.name[:2] in ("V(", "I("):
+                arguments = [argument.strip() for argument in node.name[2:-1].split(",")]
+                if node.name[0] == "V":
+                    return self._normalise_potential(arguments)
+                return self._normalise_flow(arguments, element)
             return node
 
         return simplify(transform(expression, visit))
 
-    def _normalise_variable(self, node: Variable, branch: ResolvedBranch) -> Expr:
-        name = node.name
-        if name.startswith("V(") or name.startswith("I("):
-            kind = name[0]
-            arguments = name[2:-1].split(",")
-            arguments = [argument.strip() for argument in arguments]
-            if kind == "V":
-                return self._normalise_potential(arguments, branch)
-            return self._normalise_flow(arguments, branch)
-        return node
-
-    def _normalise_potential(self, arguments: list[str], branch: ResolvedBranch) -> Expr:
+    def _normalise_potential(self, arguments: "list[str]") -> Expr:
         if len(arguments) == 1:
             name = arguments[0]
             declared = self.module.branch_by_name(name)
@@ -238,85 +461,93 @@ class NetlistBuilder:
 
         return simplify(BinaryOp("-", potential(positive), potential(negative)))
 
-    def _normalise_flow(self, arguments: list[str], branch: ResolvedBranch) -> Expr:
+    def _normalise_flow(self, arguments: "list[str]", element: Element) -> Expr:
         if len(arguments) == 1:
             name = arguments[0]
             declared = self.module.branch_by_name(name)
             if declared is not None:
                 return Variable(f"I({declared.name})")
             # Flow through the branch currently being defined.
-            return Variable(f"I({branch.name})")
+            return Variable(f"I({element.name})")
         positive, negative = arguments
-        if branch.positive == positive and branch.negative == negative:
-            return Variable(f"I({branch.name})")
+        if element.positive == positive and element.negative == negative:
+            return Variable(f"I({element.name})")
         raise NetlistError(
             f"cannot resolve flow access I({positive},{negative}); declare a "
             "named branch for it"
         )
 
     # -- component recognition ---------------------------------------------------------
-    def _add_component(self, contribution: Contribution) -> None:
-        branch = self._resolve_target(contribution.target)
-        expression = self._substitute_names(contribution.expression, branch)
-        kind = contribution.target.kind
-        component = self._match_component(kind, branch, expression)
-        self.circuit.add(component, branch.positive, branch.negative, name=branch.name)
+    def _recognise(self, element: Element) -> None:
+        """Set the element's kind and value from its normalised law.
 
-    def _match_component(self, kind: str, branch: ResolvedBranch, expression: Expr):
-        own_current = f"I({branch.name})"
-        own_voltage = self._potential_difference(branch.positive, branch.negative)
-
-        factor_of_current = _linear_factor(expression, own_current)
-        factor_of_ddt_voltage = _derivative_factor(expression, own_voltage)
-        factor_of_ddt_current = _derivative_factor(expression, Variable(own_current))
-        factor_of_idt_current = _integral_factor(expression, Variable(own_current))
-        factor_of_idt_voltage = _integral_factor(expression, own_voltage)
-        value = constant_value(expression)
-
-        if kind == POTENTIAL:
-            if factor_of_current is not None:
-                return Resistor(factor_of_current)
-            if factor_of_ddt_current is not None:
-                return Inductor(factor_of_ddt_current)
-            if factor_of_idt_current is not None and factor_of_idt_current > 0.0:
+        The one recogniser of the package: R, C and L laws (including the
+        ``idt`` forms) are matched first, then constant and stimulus-driven
+        sources, then controlled sources.  A non-positive R/C/L still gets
+        its kind, so the caller can report it as non-physical.
+        """
+        expression = element.expression
+        own_current = Variable(f"I({element.name})")
+        own_voltage = self._potential_difference(element.positive, element.negative)
+        if element.access == POTENTIAL:
+            laws = (
+                ("resistor", lambda: _linear_factor(expression, own_current.name)),
+                ("inductor", lambda: _derivative_factor(expression, own_current)),
                 # V = (1/C) * idt(I): the integral form of the capacitor law.
-                return Capacitor(1.0 / factor_of_idt_current)
-            if value is not None:
-                return VoltageSource(dc_value=value)
-            if _is_input_reference(expression, self.module):
-                return VoltageSource(input_signal=_input_name(expression))
-            gain, control = _controlled_source(expression)
-            if gain is not None:
-                return VCVS(gain, control_positive=control[0], control_negative=control[1])
-            raise NetlistError(
-                f"cannot recognise the potential contribution on branch "
-                f"{branch.name!r}: {expression}"
+                ("capacitor", lambda: _reciprocal(_integral_factor(expression, own_current))),
             )
-
-        if kind == FLOW:
-            if factor_of_ddt_voltage is not None:
-                return Capacitor(factor_of_ddt_voltage)
-            if factor_of_idt_voltage is not None and factor_of_idt_voltage > 0.0:
+            source, controlled = "vsource", "vcvs"
+        else:
+            laws = (
+                ("capacitor", lambda: _derivative_factor(expression, own_voltage)),
                 # I = (1/L) * idt(V): the integral form of the inductor law.
-                return Inductor(1.0 / factor_of_idt_voltage)
-            conductance = _conductance_factor(expression, own_voltage)
-            if conductance is not None:
-                return Resistor(1.0 / conductance)
-            if value is not None:
-                return CurrentSource(dc_value=value)
-            if _is_input_reference(expression, self.module):
-                return CurrentSource(input_signal=_input_name(expression))
-            gain, control = _controlled_source(expression)
-            if gain is not None:
-                return VCCS(gain, control_positive=control[0], control_negative=control[1])
-            raise NetlistError(
-                f"cannot recognise the flow contribution on branch "
-                f"{branch.name!r}: {expression}"
+                ("inductor", lambda: _reciprocal(_integral_factor(expression, own_voltage))),
+                ("resistor", lambda: _reciprocal(_conductance_factor(expression, own_voltage))),
             )
-        raise NetlistError(f"unknown access kind {kind!r}")
+            source, controlled = "isource", "vccs"
+        for kind, factor in laws:
+            value = factor()
+            if value is not None:
+                element.kind, element.value = kind, value
+                return
+        value = constant_value(expression)
+        if value is not None:
+            element.kind, element.value = source, value
+            return
+        if _is_input_reference(expression, self.module):
+            element.kind, element.value, element.signal = source, 0.0, expression.name
+            return
+        gain, control = _controlled_source(expression, self.ground)
+        if gain is not None:
+            element.kind, element.value, element.control = controlled, gain, control
 
 
 # -- expression pattern helpers --------------------------------------------------------
+def _zero_scale(expression: Expr) -> "str | None":
+    """Describe a component law collapsed by a zero factor or divisor, if any."""
+    for node in expression.walk():
+        if not isinstance(node, BinaryOp):
+            continue
+        if node.op == "/":
+            divisor = constant_value(simplify(node.rhs))
+            if divisor == 0.0:
+                return "division by zero (an infinite conductance/short)"
+        if node.op == "*":
+            for value_side, other in ((node.lhs, node.rhs), (node.rhs, node.lhs)):
+                if constant_value(simplify(value_side)) != 0.0:
+                    continue
+                if any(
+                    isinstance(inner, (Access, Derivative, Integral))
+                    for inner in other.walk()
+                ):
+                    return "a zero factor collapses the component law to a short"
+    return None
+
+
+def _reciprocal(factor: "float | None") -> "float | None":
+    return None if factor is None or factor == 0.0 else 1.0 / factor
+
+
 def _linear_factor(expression: Expr, variable_name: str) -> float | None:
     """Return ``k`` when ``expression == k * Variable(variable_name)``."""
     from ..expr.linear import linear_form
@@ -414,12 +645,9 @@ def _is_input_reference(expression: Expr, module: VamsModule) -> bool:
     return port is not None and port.direction == INPUT
 
 
-def _input_name(expression: Expr) -> str:
-    assert isinstance(expression, Variable)
-    return expression.name
-
-
-def _controlled_source(expression: Expr) -> tuple[float | None, tuple[str, str]]:
+def _controlled_source(
+    expression: Expr, ground: str
+) -> tuple[float | None, tuple[str, str]]:
     """Match ``k * (V(a) - V(b))`` (or ``k * V(a)``) and return gain and nodes."""
     expression = simplify(expression)
     sign = 1.0
@@ -428,30 +656,34 @@ def _controlled_source(expression: Expr) -> tuple[float | None, tuple[str, str]]
         expression = expression.operand
     if not (isinstance(expression, BinaryOp) and expression.op == "*"):
         # A bare potential difference is a unit-gain controlled source.
-        nodes = _potential_nodes(expression)
+        nodes = _potential_nodes(expression, ground)
         if nodes is not None:
             return sign, nodes
         return None, ("", "")
     left_value = constant_value(expression.lhs)
     right_value = constant_value(expression.rhs)
     if left_value is not None:
-        nodes = _potential_nodes(expression.rhs)
+        nodes = _potential_nodes(expression.rhs, ground)
         if nodes is not None:
             return sign * left_value, nodes
     if right_value is not None:
-        nodes = _potential_nodes(expression.lhs)
+        nodes = _potential_nodes(expression.lhs, ground)
         if nodes is not None:
             return sign * right_value, nodes
     return None, ("", "")
 
 
-def _potential_nodes(expression: Expr) -> tuple[str, str] | None:
-    """Extract ``(positive, negative)`` from ``V(a) - V(b)``, ``V(a)`` or ``-V(b)``."""
+def _potential_nodes(expression: Expr, ground: str) -> tuple[str, str] | None:
+    """Extract ``(positive, negative)`` from ``V(a) - V(b)``, ``V(a)`` or ``-V(b)``.
+
+    A normalised single potential ``V(a)`` is measured against ``ground``,
+    the module's reference node.
+    """
     expression = simplify(expression)
     if isinstance(expression, Variable) and expression.name.startswith("V("):
-        return expression.name[2:-1], "gnd"
+        return expression.name[2:-1], ground
     if isinstance(expression, UnaryOp) and expression.op == "-":
-        inner = _potential_nodes(expression.operand)
+        inner = _potential_nodes(expression.operand, ground)
         if inner is not None:
             return inner[1], inner[0]
         return None
@@ -463,9 +695,9 @@ def _potential_nodes(expression: Expr) -> tuple[str, str] | None:
         if left_name and right_name:
             return left_name, right_name
         if left_name and constant_value(right) == 0.0:
-            return left_name, "gnd"
+            return left_name, ground
         if right_name and constant_value(left) == 0.0:
-            return "gnd", right_name
+            return ground, right_name
     return None
 
 
@@ -488,16 +720,19 @@ def extract_dipole_equations(module: VamsModule) -> list[Equation]:
 
     Each equation is expressed over node potentials ``V(node)`` and branch
     flows ``I(branch)``, with parameters substituted by their values.  This is
-    the exact input format of the acquisition step.
+    the exact input format of the acquisition step; a module that does not
+    build (see :func:`to_circuit`) raises the same :class:`NetlistError`.
     """
     builder = NetlistBuilder(module)
+    elaboration = builder.elaborate()
+    elaboration.raise_errors()
     equations: list[Equation] = []
-    for contribution in builder.active_contributions():
-        branch = builder._resolve_target(contribution.target)
-        rhs = builder._substitute_names(contribution.expression, branch)
-        if contribution.target.kind == POTENTIAL:
-            lhs = builder._potential_difference(branch.positive, branch.negative)
+    for element in elaboration.elements:
+        if element.access == POTENTIAL:
+            lhs = builder._potential_difference(element.positive, element.negative)
         else:
-            lhs = Variable(f"I({branch.name})")
-        equations.append(Equation(lhs, rhs, kind=DIPOLE, name=f"dipole:{branch.name}"))
+            lhs = Variable(f"I({element.name})")
+        equations.append(
+            Equation(lhs, element.expression, kind=DIPOLE, name=f"dipole:{element.name}")
+        )
     return equations

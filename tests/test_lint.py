@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from textwrap import dedent
 
@@ -43,6 +44,7 @@ from repro.lint import (
     lint_c_source,
     lint_circuit,
     lint_model,
+    lint_module,
     lint_netlist,
     lint_python_file,
     lint_python_source,
@@ -55,10 +57,20 @@ from repro.lint import (
     write_baseline,
 )
 from repro.lint.cli import main as lint_main
-from repro.network import VCVS, Circuit, Resistor, VoltageSource
+from repro.network import (
+    VCCS,
+    VCVS,
+    Capacitor,
+    Circuit,
+    CurrentSource,
+    Inductor,
+    Resistor,
+    VoltageSource,
+)
 from repro.sim import SquareWave
-from repro.vams import parse_source
+from repro.vams import NetlistError, parse_module, parse_source, to_circuit
 from repro.vams.ast import POTENTIAL
+from repro.vams.netlist import Element, NetlistBuilder
 from repro.vams.classify import CONSERVATIVE, SIGNAL_FLOW, classify_module
 from repro.zoo.cli import run_recall_campaign
 from repro.zoo.generate import (
@@ -68,6 +80,13 @@ from repro.zoo.generate import (
     render,
 )
 from repro.zoo.oracle import LINT, OracleConfig, check_source
+from test_vams_errors import (
+    NONLINEAR_SOURCE,
+    NONPHYSICAL_LAWS,
+    OVERRIDE_SOURCE,
+    UNFOLDABLE_SOURCE,
+    nonphysical_source,
+)
 
 SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 CORPUS = Path(__file__).resolve().parent / "corpus"
@@ -377,6 +396,104 @@ class TestCircuitAndCleanSurfaces:
         for index in range(50):
             report.extend(lint_netlist(generate_netlist(7, index)))
         assert report.ok, to_text(report)
+
+
+# ---------------------------------------------------------------------------
+# Layer 1 and the netlist builder read one elaboration
+# ---------------------------------------------------------------------------
+KIND_TYPES = {
+    "resistor": Resistor,
+    "capacitor": Capacitor,
+    "inductor": Inductor,
+    "vsource": VoltageSource,
+    "isource": CurrentSource,
+    "vcvs": VCVS,
+    "vccs": VCCS,
+}
+VALUE_FIELDS = {
+    Resistor: "resistance",
+    Capacitor: "capacitance",
+    Inductor: "inductance",
+    VoltageSource: "dc_value",
+    CurrentSource: "dc_value",
+    VCVS: "gain",
+    VCCS: "transconductance",
+}
+
+#: (source, parameter overrides) pairs the netlist builder rejects.
+REJECTED = {
+    "nonlinear": (NONLINEAR_SOURCE, {}),
+    "unfoldable": (UNFOLDABLE_SOURCE, {}),
+    "negative-override": (OVERRIDE_SOURCE, {"R": -1.0}),
+    **{
+        f"literal-{index}": (nonphysical_source(law), {})
+        for index, law in enumerate(NONPHYSICAL_LAWS)
+    },
+    "planted": (render(plant_defect(generate_netlist(7, 0), "nonphysical-value")), {}),
+}
+
+
+def shape(element: Element) -> tuple:
+    """An element without its source position and contribution text."""
+    return (
+        element.name,
+        element.positive,
+        element.negative,
+        element.kind,
+        element.value,
+        element.control,
+        element.signal,
+    )
+
+
+def clean_sources():
+    """Every committed corpus netlist, the paper benchmarks and 50 seed-7 netlists."""
+    for directory in (CORPUS, SRC_REPRO / "zoo" / "corpus"):
+        for path in sorted(directory.glob("*.va")):
+            yield path.name, path.read_text()
+    for benchmark in paper_benchmarks():
+        yield benchmark.name, benchmark.vams_source
+    for index in range(50):
+        yield f"seed7-{index}", render(generate_netlist(7, index))
+
+
+class TestBuildAndLintAgree:
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_build_error_is_a_lint_error_at_the_same_position(self, case):
+        source, overrides = REJECTED[case]
+        module = parse_module(source)
+        with pytest.raises(NetlistError) as excinfo:
+            to_circuit(module, overrides=overrides)
+        position = (excinfo.value.line, excinfo.value.column)
+        assert position[0] > 0
+        module.parameters = [
+            replace(parameter, value=overrides.get(parameter.name, parameter.value))
+            for parameter in module.parameters
+        ]
+        errors = lint_module(module).errors()
+        assert position in {(error.line, error.column) for error in errors}, errors
+
+    def test_elements_are_the_built_components_branch_by_branch(self):
+        for name, source in clean_sources():
+            for module in parse_source(source):
+                elaboration = NetlistBuilder(module).elaborate()
+                elements = elaboration.inputs + elaboration.elements
+                circuit = to_circuit(module)
+                assert [
+                    (element.name, KIND_TYPES[element.kind], element.value)
+                    for element in elements
+                ] == [
+                    (
+                        branch.name,
+                        type(branch.component),
+                        getattr(branch.component, VALUE_FIELDS[type(branch.component)]),
+                    )
+                    for branch in circuit
+                ], name
+                # lint_circuit's view of the built circuit has the same shape.
+                assert [shape(element) for element in elements] == [
+                    shape(Element.of_branch(branch)) for branch in circuit
+                ], name
 
 
 # ---------------------------------------------------------------------------

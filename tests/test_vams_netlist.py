@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import opamp_source, rc_filter_source, two_input_source
+from repro.core import AbstractionFlow
 from repro.network.components import (
     VCCS,
     VCVS,
@@ -112,6 +113,29 @@ class TestComponentRecognition:
         circuit = to_circuit(module)
         assert isinstance(circuit.branch("ob").component, VCCS)
         assert circuit.branch("ob").component.transconductance == pytest.approx(2e-3)
+
+
+    def test_single_argument_control_is_measured_against_the_module_ground(self):
+        def abstracted(ground: str):
+            module = parse_module(
+                f"""
+                module amp(vin, out); input vin; output out;
+                electrical vin, mid, out, {ground}; ground {ground};
+                analog begin
+                  I(vin, mid) <+ V(vin, mid) / 1k;
+                  I(mid) <+ V(mid) / 1k;
+                  V(out) <+ 2.0 * V(mid);
+                end
+                endmodule
+                """
+            )
+            circuit = to_circuit(module)
+            amp = circuit.branch("b3_out_" + ground).component
+            assert (amp.control_positive, amp.control_negative) == ("mid", ground)
+            return AbstractionFlow(1e-6).abstract(circuit, "out").model
+
+        assert abstracted("vss").assignments == abstracted("gnd").assignments
+        assert str(abstracted("vss").assignments[-1].expression) == "vin"
 
 
 class TestStructure:
