@@ -4,7 +4,7 @@ The Verilog-AMS baseline is removed (as in the paper) and the generated
 models are compared against the manual ELN implementation on a longer
 simulated time.  The abstraction-tool processing time reported alongside
 Table II in the paper (7.67 s for RC20) is measured by
-``bench_abstraction_cost.py``.
+:mod:`repro.experiments.abstraction_cost` (``repro-tables --table cost``).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Benchmark records, JSON baselines and regression comparison.
 
 A *baseline* is the last recorded performance of one benchmark on one
-machine, stored as a ``BENCH_<name>.json`` file.  ``benchmarks/record.py``
-emits them; its ``--compare`` mode re-runs the suite and flags metrics that
-regressed beyond a tolerance.  Baselines are machine-specific wall-clock
-numbers — compare them only against baselines recorded on the same host.
+machine, stored as a ``BENCH_<name>.json`` file in the repository root
+(:func:`repo_root`).  ``repro-bench`` records them; its ``--compare`` mode
+re-runs the suite and flags metrics that regressed beyond a tolerance.
+Baselines are machine-specific wall-clock numbers — compare them only
+against baselines recorded on the same host.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ def _git(*arguments: str) -> "str | None":
     if completed.returncode != 0:
         return None
     return completed.stdout
+
+
+def repo_root() -> Path:
+    """The git toplevel directory, or the current directory outside a checkout.
+
+    The one home of the ``BENCH_*.json`` baselines, next to the source they
+    measured.
+    """
+    toplevel = (_git("rev-parse", "--show-toplevel") or "").strip()
+    return Path(toplevel) if toplevel else Path.cwd()
 
 
 @functools.lru_cache(maxsize=1)

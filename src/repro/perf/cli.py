@@ -1,15 +1,22 @@
 """The ``repro-bench`` entry point: record/compare performance baselines.
 
-Runs the standard :mod:`repro.perf.suite` workloads and writes one
-``BENCH_<name>.json`` per benchmark into the baseline directory.  With
-``--compare`` the suite is re-run and the fresh numbers are checked against
-the last recorded baselines instead of overwriting them; regressions beyond
-``--tolerance`` are reported (and fail the run under ``--strict``).
+Runs the standard :mod:`repro.perf.suite` workloads.  The baselines have
+one home, the repository root (:func:`~repro.perf.baseline.repo_root`),
+and the CLI has two modes:
+
+* **record** (the default): write one ``BENCH_<name>.json`` per benchmark
+  into the repository root and append each record as one JSONL line to
+  ``benchmarks/history/<name>.jsonl`` — the cross-commit series
+  ``repro-report`` renders as trend lines.  Records carry the git commit
+  and dirty flag, so recording refuses a dirty working tree (exit 2)
+  unless ``--allow-dirty`` is given: a baseline must name the exact tree
+  it measured.
+* **compare** (``--compare``): check the fresh numbers against the
+  repository-root baselines and write nothing; regressions beyond
+  ``--tolerance`` are reported (and fail the run under ``--strict``).
 
 Baselines are wall-clock numbers of *this* machine — record and compare on
-the same host.  ``benchmarks/record.py`` is the in-repo wrapper that defaults
-the baseline directory to ``benchmarks/baselines/``; the installed
-``repro-bench`` script defaults to ``./perf-baselines``.
+the same host.
 
 ``--store DIR`` checkpoints the suite itself into a content-addressed
 :class:`~repro.store.RunStore` (one record per benchmark, keyed by
@@ -17,11 +24,6 @@ benchmark × workload size × interpreter/machine identity) and ``--resume``
 skips benchmarks whose record is already committed — an interrupted long
 suite run finishes only the missing workloads.
 
-``--publish`` additionally snapshots the fresh records as ``BENCH_*.json``
-files in the repository root (records carry the git commit and dirty flag,
-so a published snapshot names the exact tree it measured) *and* appends
-each record as one JSONL line to ``benchmarks/history/<name>.jsonl`` —
-the cross-commit series ``repro-report`` renders as trend lines.
 ``--trace``/``--telemetry`` collect :mod:`repro.obs` telemetry of the
 suite run itself, and ``--report out.html`` writes a self-contained HTML
 dashboard of the fresh records merged with that history.
@@ -32,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import platform as _platform
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
@@ -41,33 +42,16 @@ from pathlib import Path
 from ..obs.export import write_trace_json
 from ..obs.telemetry import TelemetryReport
 from ..obs.tracer import TRACER, disable_tracing, enable_tracing
+from ..report import Dashboard, bench_section
+from ..report.history import (
+    DEFAULT_HISTORY_DIR,
+    append_history,
+    load_history,
+    merge_latest,
+)
 from ..sweep.executor import CampaignTask, Executor
-from .baseline import BaselineStore, BenchmarkRecord, git_identity
+from .baseline import BaselineStore, BenchmarkRecord, git_identity, repo_root
 from .suite import SUITE, run_suite
-
-DEFAULT_BASELINE_DIR = "perf-baselines"
-
-
-def repo_root() -> Path:
-    """The git toplevel directory, or the current directory outside a repo.
-
-    ``--publish`` snapshots land here so the published ``BENCH_*.json``
-    files sit next to the source they measured.
-    """
-    try:
-        completed = subprocess.run(
-            ("git", "rev-parse", "--show-toplevel"),
-            capture_output=True,
-            text=True,
-            timeout=10.0,
-            check=False,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return Path.cwd()
-    if completed.returncode != 0 or not completed.stdout.strip():
-        return Path.cwd()
-    return Path(completed.stdout.strip())
-
 
 def _bench_store_inputs(name: str, smoke: bool) -> dict:
     """The content key of one suite benchmark: what × at what size × where.
@@ -113,7 +97,21 @@ class _SuiteTask(CampaignTask):
             yield position, benches[position](self.smoke)
 
 
-def main(argv: "list[str] | None" = None, default_out: str = DEFAULT_BASELINE_DIR) -> int:
+def record_baselines(records: "list[BenchmarkRecord]", root: Path) -> None:
+    """Write each record as ``root/BENCH_<name>.json`` and append it to history.
+
+    The only writer of baselines: the snapshot and its history line are
+    written together, so the latest history point always equals the
+    snapshot ``--compare`` reads.
+    """
+    store = BaselineStore(root)
+    history_directory = root / DEFAULT_HISTORY_DIR
+    for record in records:
+        print(f"  wrote {store.save(record)}")
+        print(f"  appended {append_history(record, history_directory)}")
+
+
+def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke",
@@ -121,14 +119,10 @@ def main(argv: "list[str] | None" = None, default_out: str = DEFAULT_BASELINE_DI
         help="CI-sized workloads (seconds, not minutes); measured the same way",
     )
     parser.add_argument(
-        "--out",
-        default=default_out,
-        help=f"baseline directory (default: {default_out}/)",
-    )
-    parser.add_argument(
         "--compare",
         action="store_true",
-        help="compare against the recorded baselines instead of overwriting them",
+        help="compare against the repo-root baselines instead of recording; "
+        "writes nothing",
     )
     parser.add_argument(
         "--tolerance",
@@ -154,19 +148,11 @@ def main(argv: "list[str] | None" = None, default_out: str = DEFAULT_BASELINE_DI
         help="skip benchmarks already committed to --store (load their records)",
     )
     parser.add_argument(
-        "--publish",
-        action="store_true",
-        help="also snapshot the fresh BENCH_*.json records into the repo root "
-        "(git toplevel; the current directory outside a checkout); refuses "
-        "a dirty working tree so published numbers always name the exact "
-        "commit they measured",
-    )
-    parser.add_argument(
         "--allow-dirty",
         action="store_true",
-        help="let --publish proceed from a dirty working tree (the records "
-        "will carry git_dirty: true and are not reproducible from the "
-        "recorded commit alone)",
+        help="record from a dirty working tree (the records will carry "
+        "git_dirty: true and are not reproducible from the recorded commit "
+        "alone)",
     )
     parser.add_argument(
         "--trace",
@@ -197,19 +183,16 @@ def main(argv: "list[str] | None" = None, default_out: str = DEFAULT_BASELINE_DI
     arguments = parser.parse_args(argv)
     if arguments.resume and arguments.store is None:
         parser.error("--resume needs --store to resume from")
-    if arguments.publish and not arguments.allow_dirty:
-        _, dirty = git_identity()
-        if dirty:
-            print(
-                "repro-bench: refusing to --publish from a dirty working "
-                "tree: the snapshot would carry git_dirty: true and could "
-                "not be reproduced from the recorded commit. Commit (or "
-                "stash) your changes, or pass --allow-dirty to publish "
-                "anyway.",
-                file=sys.stderr,
-            )
-            return 2
-    store = BaselineStore(arguments.out)
+    if not arguments.compare and not arguments.allow_dirty and git_identity()[1]:
+        print(
+            "repro-bench: refusing to record from a dirty working tree: the "
+            "baselines would carry git_dirty: true and could not be "
+            "reproduced from the recorded commit. Commit (or stash) your "
+            "changes, pass --allow-dirty to record anyway, or --compare.",
+            file=sys.stderr,
+        )
+        return 2
+    root = repo_root()
 
     trace = bool(arguments.trace or arguments.telemetry)
     tracer_was_enabled = TRACER.enabled
@@ -267,30 +250,8 @@ def main(argv: "list[str] | None" = None, default_out: str = DEFAULT_BASELINE_DI
                 f"{report.wall:.2f}s"
             )
 
-    if arguments.publish:
-        from ..report.history import DEFAULT_HISTORY_DIR, append_history
-
-        root = repo_root()
-        published = BaselineStore(root)
-        history_directory = root / DEFAULT_HISTORY_DIR
-        for record in records:
-            path = published.save(record)
-            print(f"  published {path}")
-            history = append_history(record, history_directory)
-            print(f"  appended {history}")
-
     if arguments.report:
-        from ..report import Dashboard, bench_section
-        from ..report.history import (
-            DEFAULT_HISTORY_DIR,
-            load_history,
-            merge_latest,
-        )
-
-        history_directory = repo_root() / DEFAULT_HISTORY_DIR
-        history = (
-            load_history(history_directory) if history_directory.exists() else {}
-        )
+        history = load_history(root / DEFAULT_HISTORY_DIR)
         series = merge_latest(history, {record.name: record for record in records})
         dashboard = Dashboard(
             title="Benchmark trends",
@@ -300,6 +261,7 @@ def main(argv: "list[str] | None" = None, default_out: str = DEFAULT_BASELINE_DI
         print(f"wrote {dashboard.write(arguments.report)}")
 
     if arguments.compare:
+        store = BaselineStore(root)
         regressions, missing = store.compare(records, tolerance=arguments.tolerance)
         for name in missing:
             print(
@@ -315,9 +277,7 @@ def main(argv: "list[str] | None" = None, default_out: str = DEFAULT_BASELINE_DI
         print("\nno regressions vs the last recorded baseline")
         return 0
 
-    for record in records:
-        path = store.save(record)
-        print(f"  wrote {path}")
+    record_baselines(records, root)
     return 0
 
 

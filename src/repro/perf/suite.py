@@ -1,4 +1,4 @@
-"""The standard benchmark workloads behind ``benchmarks/record.py``.
+"""The standard benchmark workloads behind ``repro-bench``.
 
 Each ``bench_*`` function runs one workload and returns a
 :class:`~repro.perf.baseline.BenchmarkRecord`.  The workloads are shared by

@@ -9,8 +9,8 @@ telemetry, differential fuzzing, run stores and benchmark history — and
 :class:`Dashboard` stitches them into a single HTML file that survives
 being mailed around or attached to a CI run as an artifact.
 
-:mod:`repro.report.history` adds the cross-commit axis: ``repro-bench
---publish`` appends every benchmark record to ``benchmarks/history/``
+:mod:`repro.report.history` adds the cross-commit axis: recording with
+``repro-bench`` appends every benchmark record to ``benchmarks/history/``
 (one JSONL line per commit) and :func:`trend_series` turns those lines
 into per-metric trend charts with regression markers.
 

@@ -36,7 +36,7 @@ import sys
 from pathlib import Path
 
 from ..obs.export import report_from_jsonl, report_from_trace
-from ..perf.baseline import BaselineStore, PerfError
+from ..perf.baseline import BaselineStore, PerfError, repo_root
 from ..store import RunStore, StoreError
 from .dashboard import Dashboard, verify_dashboard
 from .history import DEFAULT_HISTORY_DIR, load_history, merge_latest
@@ -112,12 +112,6 @@ def run_smoke_campaign():
         bench.build, bench.output, stimuli, trace=True, progress=False
     )
     return runner.run(spec, SMOKE_DURATION)
-
-
-def _repo_root() -> Path:
-    from ..perf.cli import repo_root
-
-    return repo_root()
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -198,7 +192,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if result.telemetry is not None:
             dashboard.add(telemetry_section(result.telemetry))
             anchors.append("telemetry")
-        root = _repo_root()
+        root = repo_root()
         if not arguments.bench:
             arguments.bench = [str(root)]
         if arguments.history is None and (root / DEFAULT_HISTORY_DIR).exists():

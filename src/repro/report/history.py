@@ -2,9 +2,9 @@
 
 ``BENCH_<name>.json`` snapshots only ever hold the *latest* record, so a
 trend line drawn from them has one point.  The history directory keeps one
-JSONL file per benchmark with **one line per commit** — ``repro-bench
---publish`` appends the fresh record (replacing any earlier line recorded
-at the same commit, so re-publishing never duplicates a point), published
+JSONL file per benchmark with **one line per commit** — recording with
+``repro-bench`` appends the fresh record (replacing any earlier line recorded
+at the same commit, so re-recording never duplicates a point), published
 atomically through the shared :mod:`repro.store.atomic` primitive.
 
 :func:`trend_series` turns a benchmark's history into per-metric point
@@ -22,7 +22,7 @@ from pathlib import Path
 from ..perf.baseline import BenchmarkRecord, PerfError, compare_records
 from ..store.atomic import atomic_write_text
 
-#: The in-repo history directory ``repro-bench --publish`` appends to.
+#: The in-repo history directory ``repro-bench`` appends to when recording.
 DEFAULT_HISTORY_DIR = "benchmarks/history"
 
 

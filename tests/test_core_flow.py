@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import (
+    benchmark_by_name,
     build_opamp,
     build_rc_filter,
     build_two_input,
@@ -75,8 +76,11 @@ class TestAbstractionCorrectness:
 
 
 class TestFlowInterface:
-    def test_report_contents(self, flow, rc1_circuit):
-        report = flow.abstract(rc1_circuit, "out")
+    @pytest.mark.parametrize("component", ("2IN", "RC1", "RC20", "OA"))
+    def test_report_contents(self, flow, component):
+        bench = benchmark_by_name(component)
+        report = flow.abstract(bench.circuit(), bench.output)
+        assert report.model.outputs == [bench.output_quantity]
         assert set(report.timings) == {"acquisition", "enrichment", "assemble", "solve"}
         assert report.total_time > 0.0
         assert "topology" in report.summary()

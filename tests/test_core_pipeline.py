@@ -143,10 +143,12 @@ class TestAssemble:
         assert "V(aux)" not in assembled.resolutions
         assert "V(aux)" in assembled.dropped_unknowns
 
-    def test_each_origin_used_once(self, rc3_circuit, timestep):
-        enrichment = enrich(acquire(rc3_circuit), timestep)
+    @pytest.mark.parametrize("order", (1, 3, 4, 8, 16, 20, 32))
+    def test_each_origin_used_once(self, order, timestep):
+        enrichment = enrich(acquire(build_rc_filter(order)), timestep)
         assembled = Assembler(enrichment).assemble(["V(out)"])
         assert len(assembled.used_origins) == assembled.cone_size
+        assert assembled.cone_size >= order
 
     def test_unknown_output_fails(self, rc1_circuit, timestep):
         enrichment = enrich(acquire(rc1_circuit), timestep)

@@ -129,8 +129,46 @@ class TestTimingHelpers:
             best_of(lambda: None, repeats=0)
 
 
+COMMIT = "c" * 40
+
+
+def set_git_identity(monkeypatch, dirty: bool) -> None:
+    """Fake the working tree's ``(commit, dirty)`` for the CLI and records."""
+    from repro.perf import baseline, cli
+
+    monkeypatch.setattr(cli, "git_identity", lambda: (COMMIT, dirty))
+    monkeypatch.setattr(baseline, "git_identity", lambda: (COMMIT, dirty))
+
+
+@pytest.fixture
+def bench_root(tmp_path, monkeypatch):
+    """A clean repository root in ``tmp_path``: the CLI's one baseline home."""
+    from repro.perf import cli
+
+    monkeypatch.setattr(cli, "repo_root", lambda: tmp_path)
+    set_git_identity(monkeypatch, dirty=False)
+    return tmp_path
+
+
+def stamped_suite(calls: list):
+    """A one-benchmark suite stub whose record carries git provenance."""
+
+    def suite(smoke=False):
+        calls.append(smoke)
+        return [
+            BenchmarkRecord(
+                name="iss",
+                metrics={"rate": 100.0},
+                maximize=("rate",),
+                meta={"smoke": smoke, **BenchmarkRecord.environment_meta()},
+            )
+        ]
+
+    return suite
+
+
 class TestRecordCli:
-    def test_record_then_compare(self, tmp_path, monkeypatch, capsys):
+    def test_record_then_compare(self, bench_root, monkeypatch, capsys):
         # Run the actual CLI (the repro-bench entry point) against a tiny
         # suite stub so the test is fast and deterministic: one benchmark
         # whose rate halves on the re-run.
@@ -142,17 +180,66 @@ class TestRecordCli:
             return [record(rate=next(rates))]
 
         monkeypatch.setattr(cli, "run_suite", fake_suite)
-        out_dir = str(tmp_path / "baselines")
-        assert cli.main(["--smoke", "--out", out_dir]) == 0
-        assert (tmp_path / "baselines" / "BENCH_iss.json").exists()
-        assert (
-            cli.main(["--smoke", "--out", out_dir, "--compare", "--strict"]) == 1
-        )
+        assert cli.main(["--smoke"]) == 0
+        assert (bench_root / "BENCH_iss.json").exists()
+        assert cli.main(["--smoke", "--compare", "--strict"]) == 1
         captured = capsys.readouterr().out
         assert "REGRESSION" in captured
 
+    def test_record_writes_the_snapshot_and_an_equal_history_line(
+        self, bench_root, monkeypatch
+    ):
+        # The snapshot --compare reads and the newest history point are
+        # written by one path, so they can never drift apart.
+        from repro.perf import cli
+
+        monkeypatch.setattr(cli, "run_suite", stamped_suite([]))
+        assert cli.main(["--smoke"]) == 0
+        snapshot = json.loads((bench_root / "BENCH_iss.json").read_text())
+        history = (bench_root / "benchmarks" / "history" / "iss.jsonl").read_text()
+        assert json.loads(history.splitlines()[-1]) == snapshot
+        assert snapshot["meta"]["git_commit"] == COMMIT
+        assert snapshot["meta"]["git_dirty"] is False
+
+    def test_dirty_tree_refuses_to_record(self, bench_root, monkeypatch, capsys):
+        from repro.perf import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", stamped_suite(calls))
+        set_git_identity(monkeypatch, dirty=True)
+        assert cli.main(["--smoke"]) == 2
+        assert "dirty working tree" in capsys.readouterr().err
+        assert calls == []  # refused before spending time on the suite
+        assert not (bench_root / "BENCH_iss.json").exists()
+        assert not (bench_root / "benchmarks" / "history" / "iss.jsonl").exists()
+
+    def test_allow_dirty_records_the_dirty_flag(self, bench_root, monkeypatch):
+        from repro.perf import cli
+
+        monkeypatch.setattr(cli, "run_suite", stamped_suite([]))
+        set_git_identity(monkeypatch, dirty=True)
+        assert cli.main(["--smoke", "--allow-dirty"]) == 0
+        snapshot = json.loads((bench_root / "BENCH_iss.json").read_text())
+        assert snapshot["meta"]["git_dirty"] is True
+
+    def test_compare_writes_nothing(self, bench_root, monkeypatch):
+        # Compare mode reads the repo-root baselines and leaves both the
+        # snapshot and the history byte-identical, even from a dirty tree.
+        from repro.perf import cli
+
+        monkeypatch.setattr(cli, "run_suite", stamped_suite([]))
+        assert cli.main(["--smoke"]) == 0
+        files = (
+            bench_root / "BENCH_iss.json",
+            bench_root / "benchmarks" / "history" / "iss.jsonl",
+        )
+        before = [path.read_bytes() for path in files]
+        set_git_identity(monkeypatch, dirty=True)
+        assert cli.main(["--smoke", "--compare", "--strict"]) == 0
+        assert [path.read_bytes() for path in files] == before
+
     def test_store_checkpoints_and_resume_skips_completed_benchmarks(
-        self, tmp_path, monkeypatch, capsys
+        self, bench_root, monkeypatch, capsys
     ):
         # The --store/--resume path: a benchmark stub that counts its calls
         # must run once, be committed, and be *loaded* (not re-run) on a
@@ -166,23 +253,26 @@ class TestRecordCli:
             return record(rate=123.0)
 
         monkeypatch.setattr(cli, "SUITE", (bench_iss,))
-        out_dir = str(tmp_path / "baselines")
-        store_dir = str(tmp_path / "suite-store")
-        assert cli.main(["--smoke", "--out", out_dir, "--store", store_dir]) == 0
+        store_dir = str(bench_root / "suite-store")
+        assert cli.main(["--smoke", "--store", store_dir]) == 0
         assert calls == [True]
-        assert (
-            cli.main(
-                ["--smoke", "--out", out_dir, "--store", store_dir, "--resume"]
-            )
-            == 0
-        )
+        assert cli.main(["--smoke", "--store", store_dir, "--resume"]) == 0
         assert calls == [True]  # loaded, not re-executed
         captured = capsys.readouterr().out
         assert "0 benchmark(s) executed, 1 loaded" in captured
         # The loaded record round-tripped: the baseline written on the
         # resumed invocation equals the original.
-        loaded = BaselineStore(out_dir).load("iss")
+        loaded = BaselineStore(bench_root).load("iss")
         assert loaded == record(rate=123.0)
+
+    def test_repo_root_falls_back_to_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.perf import baseline
+
+        monkeypatch.setattr(baseline, "_git", lambda *arguments: None)
+        monkeypatch.chdir(tmp_path)
+        assert baseline.repo_root() == tmp_path
 
     def test_store_key_is_host_specific(self):
         from repro.perf.cli import _bench_store_inputs
@@ -200,23 +290,6 @@ class TestRecordCli:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["--smoke", "--resume"])
         assert excinfo.value.code == 2
-
-    def test_record_wrapper_script_delegates_to_the_cli(self):
-        # benchmarks/record.py stays the in-repo wrapper: it must load and
-        # re-export the packaged CLI's main.
-        import importlib.util
-        import pathlib
-
-        spec = importlib.util.spec_from_file_location(
-            "record_cli",
-            pathlib.Path(__file__).parent.parent / "benchmarks" / "record.py",
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        from repro.perf.cli import main
-
-        assert module.main is main
-        assert module.DEFAULT_BASELINE_DIR.endswith("baselines")
 
     def test_perf_suite_smoke_runs(self):
         # The real suite at smoke size: records exist, metrics are positive,
