@@ -6,15 +6,18 @@ Simulates an RC tolerance Monte-Carlo three ways and reports wall time:
 * ``serial``   — one :func:`repro.sim.run_python_model` call per scenario
   (the pre-sweep workflow: the baseline the acceptance criterion names);
 * ``batch``    — one vectorized NumPy ``step_batch`` instance advancing all
-  scenarios per timestep (``SweepRunner`` with ``backend="numpy"``);
+  scenarios per timestep (``SweepRunner`` with ``backend="numpy"``), whose
+  scenarios are abstracted once per circuit structure and replayed;
 * ``workers``  — the same batch chunked across ``multiprocessing`` workers.
 
 Run with:   PYTHONPATH=src python benchmarks/bench_sweep.py [--smoke]
 
-``--smoke`` shrinks the workload for CI (fewer scenarios, shorter runs);
-the full run uses the 256-scenario sweep the acceptance criterion asks for,
-where the vectorized backend is expected to be well beyond 10x the serial
-baseline.
+``--smoke`` shrinks the workload for CI (fewer scenarios, shorter runs) and
+requires at least one replayed abstraction; the full run uses the
+256-scenario sweep the acceptance criterion asks for, where the vectorized
+backend is expected to be well beyond 10x the serial baseline.  The serial
+baseline abstracts every scenario through the full flow, so its bit-for-bit
+comparison with the batch also checks that replayed models are exact.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def build_spec(samples: int) -> MonteCarloSpec:
     )
 
 
-def bench(samples: int, duration: float, workers: int) -> int:
+def bench(samples: int, duration: float, workers: int, smoke: bool = False) -> int:
     spec = build_spec(samples)
     steps = int(round(duration / TIMESTEP))
     print(f"RC tolerance sweep: {samples} scenarios x {steps} timesteps "
@@ -66,10 +69,14 @@ def bench(samples: int, duration: float, workers: int) -> int:
 
     # -- vectorized batch --------------------------------------------------------------
     runner = SweepRunner(
-        build_rc_filter, "out", stimuli=STIMULI, timestep=TIMESTEP, backend="numpy"
+        build_rc_filter, "out", stimuli=STIMULI, timestep=TIMESTEP, backend="numpy",
+        trace=True,
     )
     result = runner.run(spec, duration)
     batch_time = result.timings["simulate"]
+    counters = result.telemetry.counters
+    full = int(counters.get("sweep.abstractions", 0))
+    replayed = int(counters.get("sweep.replays", 0))
 
     # -- multiprocess batch ------------------------------------------------------------
     parallel = SweepRunner(
@@ -100,13 +107,16 @@ def bench(samples: int, duration: float, workers: int) -> int:
     print(f"  workers  ({parallel_result.workers} processes, wall)      : "
           f"{parallel_wall:8.3f} s (includes abstraction)")
     print(f"  abstraction (all scenarios)           : "
-          f"{result.timings['abstract']:8.3f} s")
+          f"{result.timings['abstract']:8.3f} s ({full} full, {replayed} replayed)")
     print(f"  max |batch - serial| deviation        : {deviation:.2e}")
 
     print(f"  batch bit-identical to serial         : {identical}")
 
     if not identical:
         print("FAIL: batch is not bit-identical to the serial baseline")
+        return 1
+    if smoke and replayed < 1:
+        print("FAIL: no scenario's abstraction was replayed")
         return 1
     target = 10.0
     verdict = "meets" if speedup >= target else "BELOW"
@@ -141,7 +151,7 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error("--samples must be at least 1")
     if duration <= 0.0:
         parser.error("--duration must be positive")
-    return bench(samples, duration, workers)
+    return bench(samples, duration, workers, smoke=arguments.smoke)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ expressions can be written naturally in library code and tests::
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Number = Union[int, float]
@@ -195,10 +196,24 @@ class Constant(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: Number) -> None:
-        self.value = float(value)
+        self.value = value if type(value) is float else _constant_value(value)
 
     def _key(self) -> tuple:
         return ("const", self.value)
+
+
+def _constant_value(value):
+    """``float(value)``, except that a value recorded on a tape stays itself
+    until the recorder lowers the model (:mod:`repro.core.tape`)."""
+    return value if type(value) is _tape_value() else float(value)
+
+
+@functools.cache
+def _tape_value() -> type:
+    # Imported on first use: the core package imports this module.
+    from ..core.tape import TapeValue
+
+    return TapeValue
 
 
 class Variable(Expr):

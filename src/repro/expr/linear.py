@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from ..errors import NonLinearExpressionError, UnsolvableEquationError
 from .ast import BinaryOp, Call, Conditional, Constant, Derivative, Expr, Integral, Previous, UnaryOp, Variable
-from .simplify import constant_value, is_constant, simplify
+from .simplify import constant_value, fold_power, is_constant, simplify
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,9 @@ def affine_decompose(expr: Expr, unknowns: Sequence[str] | set[str]) -> AffineDe
                 left = visit(node.lhs)
                 right = visit(node.rhs)
                 if left.is_pure_number() and right.is_pure_number():
-                    return AffineDecomposition({}, {}, left.constant**right.constant)
+                    power = fold_power(left.constant, right.constant)
+                    if power is not None:
+                        return AffineDecomposition({}, {}, power.value)
             raise NonLinearExpressionError(f"operator {node.op!r} is not affine in {node}")
         if isinstance(node, (Call, Conditional, Derivative, Integral)):
             value = constant_value(node) if not isinstance(node, (Derivative, Integral)) else None
@@ -404,6 +406,8 @@ def solve_affine_system(
     """
     import numpy as np
 
+    from ..core.tape import TapeValue
+
     order = list(unknowns)
     n = len(order)
     if n == 0:
@@ -419,17 +423,33 @@ def solve_affine_system(
                 atom_index[atom] = len(atoms)
                 atoms.append(atom)
 
-    matrix = np.eye(n)
-    rhs = np.zeros((n, len(atoms) + 1))
+    # Python lists, not arrays: a coefficient recorded on a tape
+    # (repro.core.tape) is not a float, and its tape records the solve.
+    matrix: list[list] = [[0.0] * n for _ in range(n)]
+    for row in range(n):
+        matrix[row][row] = 1.0
+    rhs: list[list] = [[0.0] * (len(atoms) + 1) for _ in range(n)]
+    tape = None
     for row, decomposition in enumerate(decompositions):
         for name, value in decomposition.unknown_coefficients.items():
-            matrix[row, index[name]] -= value
+            matrix[row][index[name]] -= value
+            if type(value) is TapeValue:
+                tape = value.tape
         for atom, value in decomposition.atom_coefficients.items():
-            rhs[row, atom_index[atom]] += value
-        rhs[row, -1] += decomposition.constant
+            rhs[row][atom_index[atom]] += value
+            if type(value) is TapeValue:
+                tape = value.tape
+        rhs[row][-1] += decomposition.constant
+        if type(decomposition.constant) is TapeValue:
+            tape = decomposition.constant.tape
 
     try:
-        solution = np.linalg.solve(matrix, rhs)
+        if tape is None:
+            solution = np.linalg.solve(np.array(matrix), np.array(rhs))
+            negligible = (np.abs(solution[:, :-1]) <= tolerance).tolist()
+            solution = solution.tolist()
+        else:
+            solution, negligible = tape.solve(matrix, rhs, tolerance)
     except np.linalg.LinAlgError as exc:
         raise UnsolvableEquationError(
             "the assembled algebraic system is singular"
@@ -439,16 +459,16 @@ def solve_affine_system(
     for row, name in enumerate(order):
         terms: list[Expr] = []
         for column, atom in enumerate(atoms):
-            coefficient = solution[row, column]
-            if abs(coefficient) <= tolerance:
+            if negligible[row][column]:
                 continue
+            coefficient = solution[row][column]
             kind, atom_name = atom
             leaf: Expr = Previous(atom_name) if kind == "prev" else Variable(atom_name)
-            terms.append(BinaryOp("*", Constant(float(coefficient)), leaf))
-        constant = solution[row, -1]
+            terms.append(BinaryOp("*", Constant(coefficient), leaf))
+        constant = solution[row][-1]
         expression: Expr
         if abs(constant) > tolerance or not terms:
-            expression = Constant(float(constant))
+            expression = Constant(constant)
             for term in terms:
                 expression = BinaryOp("+", expression, term)
         else:

@@ -52,7 +52,7 @@ def _fold_binary(op: str, lhs: float, rhs: float) -> Expr | None:
                 return None
             return Constant(lhs / rhs)
         if op == "**":
-            return Constant(lhs**rhs)
+            return fold_power(lhs, rhs)
         if op == "<":
             return Constant(1.0 if lhs < rhs else 0.0)
         if op == "<=":
@@ -72,6 +72,16 @@ def _fold_binary(op: str, lhs: float, rhs: float) -> Expr | None:
     except OverflowError:
         return None
     return None
+
+
+def fold_power(lhs: float, rhs: float) -> Expr | None:
+    """``lhs ** rhs`` as a real constant; ``None`` outside the real domain
+    (``0.0 ** -1.0``, ``(-8.0) ** 0.5``) or on overflow, like ``x / 0``."""
+    try:
+        value = lhs**rhs
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return None if isinstance(value, complex) else Constant(value)
 
 
 def _negate(node: Expr) -> Expr:

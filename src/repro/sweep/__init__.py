@@ -8,9 +8,10 @@ them.  This package provides it:
   grids, corner enumeration, tolerance Monte-Carlo) expanding into scenario
   lists;
 * :mod:`~repro.sweep.runner` — :class:`SweepRunner`, which abstracts every
-  scenario, batches structurally identical models through the vectorized
-  NumPy backend, and reuses compiled classes through the source-digest
-  cache;
+  scenario (once per circuit structure, replaying the recorded arithmetic
+  for the others), batches structurally identical models through the
+  vectorized NumPy backend, and reuses compiled classes through the
+  source-digest cache;
 * :mod:`~repro.sweep.results` — :class:`SweepResult`, the ensemble waveform
   matrices with envelope/summary aggregation and markdown/CSV reports;
 * :mod:`~repro.sweep.platform` — the same idea one level up:

@@ -4,7 +4,13 @@
 waveforms:
 
 1. every scenario's circuit is built (``factory(**scenario.params)``) and
-   abstracted into a signal-flow model;
+   abstracted into a signal-flow model.  A draw changes component values,
+   never topology, so the batched backends abstract once per circuit
+   structure (:mod:`repro.core.tape`): the first scenario of a structure goes
+   through the full four-step flow with its constant arithmetic recorded,
+   and every other scenario replays that arithmetic on its own values into a
+   model bit-identical to the full flow's.  A scenario whose replay fails a
+   guard goes through the full flow;
 2. scenarios whose models are structurally identical are grouped, and each
    group becomes one vectorized NumPy batch model
    (:mod:`repro.core.codegen.numpy_backend`) that advances *all* of the
@@ -19,9 +25,10 @@ waveforms:
    records, and reassembles the rows in scenario order, so multiprocess,
    serial and resumed runs are bit-identical.
 
-The scalar ``backend="python"`` path runs each scenario through the
-generated per-scenario ``step`` class instead; it exists as the equivalence
-baseline and as a fallback for models the vectorized renderer cannot batch.
+The scalar ``backend="python"`` path abstracts every scenario through the
+full flow and runs it through the generated per-scenario ``step`` class
+instead; it exists as the equivalence baseline and as a fallback for models
+the vectorized renderer cannot batch.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from ..core.codegen.numpy_backend import NumpyGenerator, structure_signature
 from ..core.codegen.python_backend import compile_model_cached
 from ..core.flow import AbstractionFlow
 from ..core.signalflow import SignalFlowModel
+from ..core.tape import record, structure_key
 from ..errors import SimulationError, StoreError
 from ..metrics.nrmse import compare_traces
 from ..network.circuit import Circuit
@@ -145,13 +153,13 @@ class SweepTask(CampaignTask):
         Structurally identical models form one vectorized batch (numpy and
         native backends); the scalar ``python`` backend runs each scenario
         alone.  Every scenario of a group is yielded as soon as the group
-        finishes.
+        finishes.  A traced run counts ``sweep.abstractions`` (full flows),
+        ``sweep.replays``, ``sweep.replay_fallbacks`` (a guard failed) and
+        ``sweep.replay_disabled`` (structures whose recording met an
+        operation the tape cannot replay).
         """
         start = _time.perf_counter()
-        models = {
-            position: _abstract_scenario(self, scenarios[position])
-            for position in pending
-        }
+        models = _abstract_pending(self, scenarios, pending)
         abstract = _time.perf_counter() - start
         TRACER.complete("sweep.abstract", start, abstract, "sweep", scenarios=len(pending))
         if self.lint and pending:
@@ -211,8 +219,82 @@ def _signature_digest(signature: tuple) -> str:
     return hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()[:16]
 
 
-def _abstract_scenario(config: SweepTask, scenario: Scenario) -> SignalFlowModel:
-    circuit = config.factory(**scenario.params)
+def _abstract_pending(
+    config: SweepTask, scenarios: Sequence[Scenario], pending: list[int]
+) -> dict[int, SignalFlowModel]:
+    """The model of every pending scenario, abstracted once per circuit structure.
+
+    The batched backends abstract the first scenario of each structure
+    (:func:`repro.core.tape.structure_key`) on a tape and replay it for the
+    others; a scenario whose replay fails a guard takes the full flow.  The
+    ``python`` backend runs the full flow for every scenario.  Errors surface
+    as the per-scenario flow raises them: the first in ``pending`` order.
+    """
+    outcomes: dict[int, "SignalFlowModel | Exception"] = {}
+    circuits: dict[int, Circuit] = {}
+    for position in pending:
+        try:
+            circuits[position] = config.factory(**scenarios[position].params)
+        except Exception as exc:
+            outcomes[position] = exc
+    groups: dict[object, list[int]] = {}
+    for position, circuit in circuits.items():
+        key = structure_key(circuit) if config.backend != "python" else None
+        groups.setdefault(key if key is not None else ("alone", position), []).append(position)
+
+    counts = dict.fromkeys(
+        ("abstractions", "replays", "replay_fallbacks", "replay_disabled"), 0
+    )
+    for positions in groups.values():
+        replayed = _replay_group(config, [circuits[p] for p in positions], counts)
+        for position, model in zip(positions, replayed):
+            if model is None:
+                counts["abstractions"] += 1
+                try:
+                    model = _abstract_scenario(config, circuits[position])
+                except Exception as exc:
+                    model = exc
+            outcomes[position] = model
+    if TRACER.enabled:
+        for name, count in counts.items():
+            TRACER.add(f"sweep.{name}", float(count))
+    for position in pending:
+        if isinstance(outcomes[position], Exception):
+            raise outcomes[position]
+    return outcomes
+
+
+def _replay_group(
+    config: SweepTask, circuits: list[Circuit], counts: dict[str, int]
+) -> "list[SignalFlowModel | None]":
+    """Record the first circuit of one structure and replay the others.
+
+    ``None`` marks a scenario the full flow must abstract: every one when the
+    group is a single scenario or the recording failed or was disabled.
+    """
+    if len(circuits) < 2:
+        return [None]
+    flow = AbstractionFlow(config.timestep, method=config.method)
+    name = config.name or circuits[0].name
+    try:
+        recording = record(flow, circuits[0], config.outputs, name=name)
+    except Exception:
+        # The recorded scenario's own error: the full flow raises it again.
+        return [None] * len(circuits)
+    if recording.disabled is None:
+        replayed = recording.replay(circuits[1:])
+    # Replay disables the tape too when it cannot reproduce the recording.
+    if recording.disabled is not None:
+        counts["replay_disabled"] += 1
+        return [None] * len(circuits)
+    counts["abstractions"] += 1
+    counts["replays"] += sum(model is not None for model in replayed)
+    counts["replay_fallbacks"] += sum(model is None for model in replayed)
+    return [recording.model(), *replayed]
+
+
+def _abstract_scenario(config: SweepTask, circuit: Circuit) -> SignalFlowModel:
+    """The full four-step flow for one scenario's circuit."""
     flow = AbstractionFlow(config.timestep, method=config.method)
     name = config.name or circuit.name
     return flow.abstract(circuit, list(config.outputs), name=name).model

@@ -19,6 +19,8 @@ from repro.expr import (
     is_constant,
     simplify,
 )
+from repro.errors import NonLinearExpressionError
+from repro.expr.linear import affine_decompose
 
 
 class TestIdentities:
@@ -73,6 +75,16 @@ class TestConstantFolding:
     def test_division_by_zero_not_folded(self):
         expr = BinaryOp("/", Constant(1), Constant(0))
         assert simplify(expr) == expr
+
+    @pytest.mark.parametrize("base, exponent", [(0.0, -1.0), (-8.0, 0.5)])
+    def test_power_outside_the_real_domain_not_folded(self, base, exponent):
+        # 0.0 ** -1.0 raises ZeroDivisionError and (-8.0) ** 0.5 is complex:
+        # like a division by zero, neither folds, and neither decomposes.
+        expr = BinaryOp("**", Constant(base), Constant(exponent))
+        assert simplify(expr) == expr
+        assert constant_value(expr) is None
+        with pytest.raises(NonLinearExpressionError, match=r"\*\*"):
+            affine_decompose(expr, [])
 
     def test_function_folding(self):
         assert simplify(Call("sqrt", (Constant(16.0),))) == Constant(4.0)

@@ -132,7 +132,30 @@ def nonphysical_source(law: str) -> str:
     return OVERRIDE_SOURCE.replace("I(out) <+ V(out) / 2k;", law)
 
 
+#: Resistances whose ``**`` has no real value: ``0 ** -1`` (a division by
+#: zero) and ``(-R) ** 0.5`` (complex); spliced into OVERRIDE_SOURCE in place
+#: of its resistor (line 8, column 5).
+UNREAL_POWER_LAWS = (
+    "V(vin, out) <+ (R * ((0 - R) ** 0.5 + 1.0)) * I(vin, out);",
+    "V(vin, out) <+ (R * (0.0 ** (0 - 1.0) + 1.0)) * I(vin, out);",
+)
+
+
+def unreal_power_source(law: str) -> str:
+    return OVERRIDE_SOURCE.replace("V(vin, out) <+ R * I(vin, out);", law)
+
+
 class TestNetlistErrors:
+    @pytest.mark.parametrize("law", UNREAL_POWER_LAWS)
+    def test_power_without_a_real_value_is_a_positioned_frontend_error(self, law):
+        source = unreal_power_source(law)
+        with pytest.raises(NetlistError, match="cannot recognise") as excinfo:
+            to_circuit(parse_module(source))
+        assert (excinfo.value.line, excinfo.value.column) == (8, 5)
+        verdict = check_source(source)
+        assert (verdict.ok, verdict.stage) == (False, FRONTEND)
+        assert "line 8, column 5" in verdict.detail
+
     def test_nonlinear_contribution_is_rejected_with_the_branch_name(self):
         with pytest.raises(NetlistError, match="rb") as excinfo:
             to_circuit(parse_module(NONLINEAR_SOURCE))
